@@ -18,12 +18,15 @@
 //!   node to a per-level arena, and full paths are reconstructed by walking
 //!   the parent chain — only on a violation or never. Expanding a node
 //!   copies two words instead of cloning an O(depth) vector.
-//! - **Pooled systems.** Expanded successors draw recycled [`System`]s from
-//!   a pool and refill them in place ([`System::assign_from`]); merged-out
-//!   duplicates and retired frontiers return to the pool. With the flat
-//!   multiset and fieldwise `clone_from` plumbing underneath, a warm
-//!   expansion performs no heap allocation (pinned by the allocation
-//!   regression test in `tests/explore_alloc.rs`).
+//! - **Pooled systems.** Expanded successors draw recycled, boxed
+//!   [`System`]s from a pool and refill them in place
+//!   ([`System::assign_from`]); merged-out duplicates and retired frontiers
+//!   return to the pool. Pool, frontier and merge bins move the boxes, so
+//!   sorting a shard moves 32-byte candidates, never a whole system. With
+//!   the flat multiset, the monitor's flat copy ledger and fieldwise
+//!   `clone_from` plumbing underneath, a warm expansion performs no heap
+//!   allocation (pinned by the allocation regression test in
+//!   `tests/explore_alloc.rs`).
 //! - **Tiered dedup.** The visited set behind the engine is a
 //!   [`VisitedSet`] tier chosen by [`VisitedSpec`] (see [`crate::visited`]):
 //!   the exact RAM tier runs 64 FNV shards on the fixed-key FNV-64 hasher
@@ -110,10 +113,12 @@ struct PathRec {
 }
 
 /// A successor discovered during a level, pending the deterministic merge.
+/// The system is boxed so the merge sorts, swaps and pops 32-byte
+/// candidates instead of moving whole `System`s through its bins.
 struct Candidate {
     key: u64,
     rec: PathRec,
-    sys: System,
+    sys: Box<System>,
 }
 
 /// Per-worker scratch: action/oldest-copy buffers for the expansion core, a
@@ -121,11 +126,14 @@ struct Candidate {
 /// are binned by visited-shard index at discovery time ([`shard_of`]), so
 /// the post-level merge starts from 64 disjoint key spaces per worker.
 /// Everything is reused level to level and run to run.
+// Boxed systems are deliberate: pool pops and pushes move a pointer, not
+// a whole `System`.
+#[allow(clippy::vec_box)]
 #[derive(Debug, Default)]
 struct WorkerScratch {
     actions: Vec<Action>,
     oldest: Vec<(Packet, CopyId)>,
-    pool: Vec<System>,
+    pool: Vec<Box<System>>,
     candidates: Vec<Vec<Candidate>>,
     violations: Vec<PathRec>,
 }
@@ -159,16 +167,19 @@ impl std::fmt::Debug for Candidate {
 /// explorations through one arena keeps the steady-state expansion loop
 /// entirely off the allocator — the campaign runner and the allocation
 /// regression test both rely on this.
+// Pool and frontier hold boxed systems on purpose: recycling a system and
+// building the next frontier move pointers, not whole `System`s.
+#[allow(clippy::vec_box)]
 #[derive(Debug)]
 pub struct ExploreArena {
     visited: Box<dyn VisitedSet>,
     spec: VisitedSpec,
-    pool: Vec<System>,
+    pool: Vec<Box<System>>,
     workers: Vec<WorkerScratch>,
     /// `levels[d]` holds one [`PathRec`] per frontier node at depth `d`
     /// (`levels[0]` stays empty: the root has no incoming step).
     levels: Vec<Vec<PathRec>>,
-    frontier: Vec<System>,
+    frontier: Vec<Box<System>>,
     /// Shard-major transpose buffer: `bins_in[s * stride + w]` is worker
     /// `w`'s candidate bin for shard `s`, swapped in header-only so the
     /// merge can hand disjoint shard groups to threads.
@@ -487,6 +498,15 @@ impl ParallelExplorer {
         if let Some(t) = tel {
             t.states.inc();
         }
+        // The root reuses a pooled box when there is one, so a warm run
+        // allocates no box of its own.
+        let root = match arena.pool.pop() {
+            Some(mut recycled) => {
+                *recycled = root;
+                recycled
+            }
+            None => Box::new(root),
+        };
         arena.frontier.push(root);
         let mut peak_frontier_bytes = 0usize;
 
@@ -508,7 +528,7 @@ impl ParallelExplorer {
                 t.frontier_width.record(arena.frontier.len() as u64);
                 // The resident estimate walks the frontier, so only pay for
                 // it when someone attached a registry to read it.
-                let bytes: usize = arena.frontier.iter().map(System::heap_bytes_estimate).sum();
+                let bytes: usize = arena.frontier.iter().map(|s| s.heap_bytes_estimate()).sum();
                 peak_frontier_bytes = peak_frontier_bytes.max(bytes);
             }
             self.expand_level(cfg, por, arena);
@@ -738,7 +758,7 @@ fn expand_node(
                 recycled.assign_from(sys);
                 recycled
             }
-            None => sys.clone(),
+            None => Box::new(sys.clone()),
         };
         apply(&mut next, action);
         let rec = PathRec {
@@ -1066,6 +1086,30 @@ mod tests {
             ..ExploreConfig::default()
         };
         assert!(explore_parallel(&AlternatingBit::new(), &reorder, 4).is_counterexample());
+    }
+
+    #[test]
+    fn merge_elements_stay_pointer_sized() {
+        // The merge sorts, swaps and pops candidates and the pool and
+        // frontier move systems level after level: all of them must stay
+        // handles, never by-value `System`s.
+        fn elem<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        assert!(
+            std::mem::size_of::<Candidate>() <= 32,
+            "Candidate is {} bytes",
+            std::mem::size_of::<Candidate>()
+        );
+        let arena = ExploreArena::new();
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(elem(&arena.frontier), word, "frontier element");
+        assert_eq!(elem(&arena.pool), word, "arena pool element");
+        assert_eq!(
+            elem(&WorkerScratch::default().pool),
+            word,
+            "worker pool element"
+        );
     }
 
     #[test]

@@ -318,7 +318,14 @@ fn parse_seeds(line: usize, text: &str) -> Result<std::ops::Range<u64>, Campaign
         let seed: u64 = text
             .parse()
             .map_err(|_| err(line, format!("seeds: cannot parse {text:?}")))?;
-        Ok(seed..seed + 1)
+        // `seed..seed + 1` has no exclusive end for the largest seed.
+        let end = seed.checked_add(1).ok_or_else(|| {
+            err(
+                line,
+                format!("seeds: {seed} is past the largest seed {}", u64::MAX - 1),
+            )
+        })?;
+        Ok(seed..end)
     }
 }
 
@@ -374,6 +381,7 @@ fault drop 0.05
             ),
             ("scenario a\nmessages zero", 2, "cannot parse"),
             ("scenario a\nseeds 5..5", 2, "empty range"),
+            ("scenario a\nseeds 18446744073709551615", 2, "largest seed"),
             ("scenario a\ncorruption lethal", 2, "severity"),
             ("scenario a\ncorruption light heavy", 2, "one severity"),
             ("scenario a\nteleport now", 2, "unknown directive"),

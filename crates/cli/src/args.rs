@@ -32,7 +32,8 @@ pub struct Args {
 
 impl Args {
     /// Parses raw arguments. `bool_flags` names the options that take no
-    /// value; every other `--name` consumes the following token.
+    /// value; every other `--name` consumes the following token. `--help`
+    /// and `-h` are always the flag `help`.
     ///
     /// # Errors
     ///
@@ -45,7 +46,9 @@ impl Args {
         let mut out = Args::default();
         let mut iter = raw.into_iter().map(Into::into).peekable();
         while let Some(tok) = iter.next() {
-            if let Some(name) = tok.strip_prefix("--") {
+            if tok == "--help" || tok == "-h" {
+                out.flags.push("help".to_string());
+            } else if let Some(name) = tok.strip_prefix("--") {
                 if bool_flags.contains(&name) {
                     out.flags.push(name.to_string());
                 } else {
@@ -179,6 +182,15 @@ mod tests {
     fn missing_value_is_an_error() {
         let err = Args::parse(["--seed"], &[]).unwrap_err();
         assert!(err.to_string().contains("--seed"));
+    }
+
+    #[test]
+    fn help_is_a_flag_in_both_spellings() {
+        for spelling in ["--help", "-h"] {
+            let a = Args::parse(["explore", spelling], &[]).unwrap();
+            assert!(a.flag("help"), "{spelling}");
+            assert_eq!(a.positional_count(), 1, "{spelling}");
+        }
     }
 
     #[test]

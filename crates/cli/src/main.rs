@@ -155,6 +155,15 @@ fn dispatch(raw: Vec<String>) -> Result<(), NonFifoError> {
             "in-process",
         ],
     )?;
+    if args.flag("help") {
+        let usage = match args.positional(0) {
+            None => USAGE.to_string(),
+            Some(sub) => subcommand_usage(sub)
+                .ok_or_else(|| NonFifoError::Usage(format!("unknown subcommand {sub:?}")))?,
+        };
+        print!("{usage}");
+        return Ok(());
+    }
     match args.positional(0) {
         Some("simulate") => cmd_simulate(&args),
         Some("chaos") => cmd_chaos(&args),
@@ -173,6 +182,28 @@ fn dispatch(raw: Vec<String>) -> Result<(), NonFifoError> {
         }
         _ => Err(NonFifoError::Usage("missing or unknown subcommand".into())),
     }
+}
+
+/// One subcommand's part of [`USAGE`]: its synopsis lines plus the notes
+/// paragraphs that open with its name. `None` for an unknown subcommand.
+fn subcommand_usage(sub: &str) -> Option<String> {
+    let mut lines = USAGE.lines().skip_while(|l| {
+        l.strip_prefix("  nonfifo ")
+            .and_then(|rest| rest.split_whitespace().next())
+            != Some(sub)
+    });
+    let mut out = format!("usage:\n{}\n", lines.next()?);
+    for line in lines.take_while(|l| l.starts_with("   ")) {
+        out.push_str(line);
+        out.push('\n');
+    }
+    let notes = format!("{sub} ");
+    for paragraph in USAGE.split("\n\n").filter(|p| p.starts_with(&notes)) {
+        out.push('\n');
+        out.push_str(paragraph.trim_end());
+        out.push('\n');
+    }
+    Some(out)
 }
 
 /// The one exit-code mapping. Scripts branch on these, so a truncated

@@ -2,26 +2,105 @@
 //!
 //! [`crate::spec`] checks a recorded [`Execution`](crate::Execution) after
 //! the fact; this monitor checks PL1 and the identical-message form of
-//! DL1/DL2 *online*, in O(1) amortised time and O(in-transit) space, so the
-//! simulation engine can run millions of events without retaining the trace.
+//! DL1/DL2 *online*, in O(1) time per event in the common case (see the
+//! ledger costs below), so the simulation engine can run millions of
+//! events without retaining the trace.
+//!
+//! **Space is O(copies sent) per direction**, not O(in-transit): a copy's
+//! entry outlives its delivery or drop, because exactness needs the
+//! retired states. A second delivery of a delivered copy is a
+//! [`DuplicateDelivery`](SpecViolation::DuplicateDelivery), a delivery of a
+//! dropped copy is a [`DeliveredAfterDrop`](SpecViolation::DeliveredAfterDrop),
+//! and a copy never sent is an
+//! [`UnsentDelivery`](SpecViolation::UnsentDelivery) — forgetting retired
+//! copies would collapse the first two into the third.
+//!
+//! **The copy ledger.** Each direction keeps one flat `Vec` of
+//! `(copy id, state)` pairs sorted by copy id (the same idea as the
+//! channel multiset's flat representation), so cloning a monitor — which
+//! the explorer does once per successor state — is a `Vec::clone_from`,
+//! a memcpy into retained capacity. Costs per operation:
+//!
+//! - *insert* of an id above the last one is a push. Channels mint copy
+//!   ids monotonically, so this is the common case. Anything else is a
+//!   binary-search insert, O(log n) search plus an O(n) shift: an
+//!   ordinary id recorded after a chaos twin (chaos ids start at the
+//!   high `CHAOS_COPY_BASE` of the channel crate), or a drop of a copy
+//!   never sent.
+//! - *lookup* first tries the direct index `entries[id − first id]`,
+//!   which hits whenever the ids recorded so far are dense — again the
+//!   common case — and falls back to an O(log n) binary search. The
+//!   direct index keeps lookups O(1) in long simulations, whose ledgers
+//!   grow to thousands of entries.
 
 use crate::event::Event;
-use crate::fingerprint::Fnv64;
 use crate::packet::{CopyId, Dir, Packet};
 use crate::spec::SpecViolation;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-/// Copy-state map keyed by the fixed-key FNV-64 hasher: `CopyId`s are small
-/// sequential integers, so the cheap hash wins over SipHash and stays
-/// deterministic across runs.
-type CopyMap = HashMap<CopyId, CopyState, BuildHasherDefault<Fnv64>>;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum CopyState {
     Sent(Packet),
     Delivered,
     Dropped,
+}
+
+/// One direction's PL1 copy states: `(copy id, state)` pairs sorted by
+/// copy id. See the module docs for the push / direct-index / fallback
+/// costs.
+#[derive(Debug, Default)]
+struct CopyLedger {
+    entries: Vec<(CopyId, CopyState)>,
+}
+
+impl Clone for CopyLedger {
+    fn clone(&self) -> Self {
+        CopyLedger {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// A memcpy into the target's retained capacity: no allocation when
+    /// that capacity covers the source's length.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
+}
+
+impl CopyLedger {
+    /// The entry index of `copy` (`Ok`), or where it would be inserted
+    /// (`Err`).
+    fn position(&self, copy: CopyId) -> Result<usize, usize> {
+        let Some(&(first, _)) = self.entries.first() else {
+            return Err(0);
+        };
+        let direct = copy
+            .raw()
+            .checked_sub(first.raw())
+            .and_then(|offset| usize::try_from(offset).ok());
+        if let Some(i) = direct {
+            if self.entries.get(i).is_some_and(|&(id, _)| id == copy) {
+                return Ok(i);
+            }
+        }
+        self.entries.binary_search_by_key(&copy, |&(id, _)| id)
+    }
+
+    fn get_mut(&mut self, copy: CopyId) -> Option<&mut CopyState> {
+        let i = self.position(copy).ok()?;
+        Some(&mut self.entries[i].1)
+    }
+
+    /// Records `state` for `copy`, overwriting any earlier state.
+    fn set(&mut self, copy: CopyId, state: CopyState) {
+        if self.entries.last().is_none_or(|&(last, _)| last < copy) {
+            self.entries.push((copy, state));
+            return;
+        }
+        match self.position(copy) {
+            Ok(i) => self.entries[i].1 = state,
+            Err(i) => self.entries.insert(i, (copy, state)),
+        }
+    }
 }
 
 /// Online checker for PL1 (both directions) and the prefix-count form of
@@ -40,8 +119,8 @@ enum CopyState {
 /// ```
 #[derive(Debug, Default)]
 pub struct SpecMonitor {
-    copies_fwd: CopyMap,
-    copies_bwd: CopyMap,
+    copies_fwd: CopyLedger,
+    copies_bwd: CopyLedger,
     sm: u64,
     rm: u64,
     events_seen: u64,
@@ -67,18 +146,10 @@ impl Clone for SpecMonitor {
     }
 
     /// Fieldwise `clone_from` so monitor clones in the explorer's pooled
-    /// systems reuse the copy-map allocations. `HashMap::clone_from`
-    /// reallocates whenever the two tables' bucket counts differ — which
-    /// for maps of varying size is nearly always — so the maps are refilled
-    /// via clear + extend instead: `clear` keeps the buckets, and a table
-    /// only grows when the source outsizes everything the target has held.
+    /// systems reuse the ledgers' allocations.
     fn clone_from(&mut self, source: &Self) {
-        self.copies_fwd.clear();
-        self.copies_fwd
-            .extend(source.copies_fwd.iter().map(|(&k, &v)| (k, v)));
-        self.copies_bwd.clear();
-        self.copies_bwd
-            .extend(source.copies_bwd.iter().map(|(&k, &v)| (k, v)));
+        self.copies_fwd.clone_from(&source.copies_fwd);
+        self.copies_bwd.clone_from(&source.copies_bwd);
         self.sm = source.sm;
         self.rm = source.rm;
         self.events_seen = source.events_seen;
@@ -177,7 +248,7 @@ impl SpecMonitor {
         Ok(())
     }
 
-    fn copies(&mut self, dir: Dir) -> &mut CopyMap {
+    fn copies(&mut self, dir: Dir) -> &mut CopyLedger {
         match dir {
             Dir::Forward => &mut self.copies_fwd,
             Dir::Backward => &mut self.copies_bwd,
@@ -206,31 +277,23 @@ impl SpecMonitor {
                 }
             }
             Event::SendPkt { dir, packet, copy } => {
-                self.copies(dir).insert(copy, CopyState::Sent(packet));
+                self.copies(dir).set(copy, CopyState::Sent(packet));
                 Ok(())
             }
-            Event::ReceivePkt { dir, packet, copy } => {
-                let state = self.copies(dir).get(&copy).copied();
-                match state {
-                    None => Err(SpecViolation::UnsentDelivery { dir, copy }),
-                    Some(CopyState::Delivered) => {
-                        Err(SpecViolation::DuplicateDelivery { dir, copy })
-                    }
-                    Some(CopyState::Dropped) => {
-                        Err(SpecViolation::DeliveredAfterDrop { dir, copy })
-                    }
-                    Some(CopyState::Sent(sent)) => {
-                        if sent != packet {
-                            Err(SpecViolation::CorruptedDelivery { dir, copy })
-                        } else {
-                            self.copies(dir).insert(copy, CopyState::Delivered);
-                            Ok(())
-                        }
-                    }
+            Event::ReceivePkt { dir, packet, copy } => match self.copies(dir).get_mut(copy) {
+                None => Err(SpecViolation::UnsentDelivery { dir, copy }),
+                Some(CopyState::Delivered) => Err(SpecViolation::DuplicateDelivery { dir, copy }),
+                Some(CopyState::Dropped) => Err(SpecViolation::DeliveredAfterDrop { dir, copy }),
+                Some(CopyState::Sent(sent)) if *sent != packet => {
+                    Err(SpecViolation::CorruptedDelivery { dir, copy })
                 }
-            }
+                Some(state) => {
+                    *state = CopyState::Delivered;
+                    Ok(())
+                }
+            },
             Event::DropPkt { dir, copy, .. } => {
-                self.copies(dir).insert(copy, CopyState::Dropped);
+                self.copies(dir).set(copy, CopyState::Dropped);
                 Ok(())
             }
         }
@@ -335,5 +398,210 @@ mod tests {
             copy: CopyId::from_raw(7),
         };
         assert!(mon.observe(&e).is_err());
+    }
+
+    #[test]
+    fn ledger_clone_from_reuses_capacity() {
+        let mut source = SpecMonitor::new();
+        for c in 1..=8 {
+            source.observe(&sp(c)).unwrap();
+        }
+        source.observe(&rp(3)).unwrap();
+        let mut target = SpecMonitor::new();
+        for c in 1..=64 {
+            target.observe(&sp(c)).unwrap();
+        }
+        let (ptr, cap) = (
+            target.copies_fwd.entries.as_ptr(),
+            target.copies_fwd.entries.capacity(),
+        );
+        target.clone_from(&source);
+        assert_eq!(target.copies_fwd.entries, source.copies_fwd.entries);
+        assert_eq!(
+            target.copies_fwd.entries.as_ptr(),
+            ptr,
+            "clone_from reallocated"
+        );
+        assert_eq!(target.copies_fwd.entries.capacity(), cap);
+        assert_eq!(target.events_seen(), source.events_seen());
+    }
+
+    /// Differential property against the `HashMap` representation the flat
+    /// ledger replaced: seeded event streams mixing monotonic, chaos-base
+    /// and out-of-order copy ids with re-deliveries, deliveries after a
+    /// drop, unsent and corrupted deliveries must draw the same `observe`
+    /// result on every event and latch the same first violation — also
+    /// across `clone_from` hand-offs into stale monitors.
+    #[test]
+    fn flat_ledger_matches_hashmap_model() {
+        use nonfifo_rng::StdRng;
+        use std::collections::HashMap;
+
+        /// Mirrors `nonfifo_channel::CHAOS_COPY_BASE`.
+        const CHAOS_COPY_BASE: u64 = 1 << 48;
+
+        /// The old representation, as the executable model.
+        #[derive(Default)]
+        struct Model {
+            copies: HashMap<(Dir, CopyId), CopyState>,
+            sm: u64,
+            rm: u64,
+            events: u64,
+            first: Option<SpecViolation>,
+        }
+
+        impl Model {
+            fn observe(&mut self, event: &Event) -> Result<(), SpecViolation> {
+                self.events += 1;
+                let result = match *event {
+                    Event::SendMsg(_) => {
+                        self.sm += 1;
+                        Ok(())
+                    }
+                    Event::ReceiveMsg(_) => {
+                        self.rm += 1;
+                        if self.rm > self.sm {
+                            Err(SpecViolation::MessageInvented {
+                                event_index: (self.events - 1) as usize,
+                            })
+                        } else {
+                            Ok(())
+                        }
+                    }
+                    Event::SendPkt { dir, packet, copy } => {
+                        self.copies.insert((dir, copy), CopyState::Sent(packet));
+                        Ok(())
+                    }
+                    Event::ReceivePkt { dir, packet, copy } => {
+                        match self.copies.get(&(dir, copy)).copied() {
+                            None => Err(SpecViolation::UnsentDelivery { dir, copy }),
+                            Some(CopyState::Delivered) => {
+                                Err(SpecViolation::DuplicateDelivery { dir, copy })
+                            }
+                            Some(CopyState::Dropped) => {
+                                Err(SpecViolation::DeliveredAfterDrop { dir, copy })
+                            }
+                            Some(CopyState::Sent(sent)) if sent != packet => {
+                                Err(SpecViolation::CorruptedDelivery { dir, copy })
+                            }
+                            Some(CopyState::Sent(_)) => {
+                                self.copies.insert((dir, copy), CopyState::Delivered);
+                                Ok(())
+                            }
+                        }
+                    }
+                    Event::DropPkt { dir, copy, .. } => {
+                        self.copies.insert((dir, copy), CopyState::Dropped);
+                        Ok(())
+                    }
+                };
+                if let Err(v) = result {
+                    self.first.get_or_insert(v);
+                }
+                result
+            }
+        }
+
+        let cases: u64 = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(16);
+        for seed in 0..cases {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mon = SpecMonitor::new();
+            let mut stale = SpecMonitor::new();
+            let mut model = Model::default();
+            // Per direction: next monotonic id, next chaos id.
+            let mut next = [1u64, 1u64];
+            let mut next_chaos = [CHAOS_COPY_BASE; 2];
+            let mut sent: Vec<(Dir, CopyId, Packet)> = Vec::new();
+            for step in 0..400 {
+                let d = rng.gen_range(0..2);
+                let dir = Dir::BOTH[d];
+                let packet = Packet::header_only(Header::new(rng.gen_range(0..3) as u32));
+                let event = match rng.gen_range(0..12) {
+                    // Monotonic sends, as every channel mints them.
+                    0..=3 => {
+                        let copy = CopyId::from_raw(next[d]);
+                        next[d] += 1;
+                        sent.push((dir, copy, packet));
+                        Event::SendPkt { dir, packet, copy }
+                    }
+                    // A chaos twin, minted from its own id base.
+                    4 => {
+                        let copy = CopyId::from_raw(next_chaos[d]);
+                        next_chaos[d] += 1;
+                        sent.push((dir, copy, packet));
+                        Event::SendPkt { dir, packet, copy }
+                    }
+                    // Out of order: below the latest id (possibly a resend
+                    // of an id already recorded), or in a gap far above.
+                    5 => {
+                        let raw = if rng.gen_bool(0.5) {
+                            rng.gen_range(0..next[d] as usize) as u64
+                        } else {
+                            next[d] + 1000 + rng.gen_range(0..1000) as u64
+                        };
+                        let copy = CopyId::from_raw(raw);
+                        sent.push((dir, copy, packet));
+                        Event::SendPkt { dir, packet, copy }
+                    }
+                    // Deliveries of sent copies — the second one of a copy
+                    // is a re-delivery.
+                    6..=8 if !sent.is_empty() => {
+                        let (dir, copy, packet) = sent[rng.gen_range(0..sent.len())];
+                        Event::ReceivePkt { dir, packet, copy }
+                    }
+                    // Drops: a later delivery of the copy is after-drop.
+                    9 if !sent.is_empty() => {
+                        let (dir, copy, packet) = sent[rng.gen_range(0..sent.len())];
+                        Event::DropPkt { dir, packet, copy }
+                    }
+                    // Corrupted delivery: the right copy, a wrong value.
+                    10 if !sent.is_empty() => {
+                        let (dir, copy, packet) = sent[rng.gen_range(0..sent.len())];
+                        let header = Header::new(packet.header().index() + 7);
+                        Event::ReceivePkt {
+                            dir,
+                            packet: Packet::header_only(header),
+                            copy,
+                        }
+                    }
+                    // Unsent delivery (or, rarely, a lucky hit on a sent
+                    // id — the model decides either way).
+                    10 | 11 if rng.gen_bool(0.5) => {
+                        let raw = match rng.gen_range(0..3) {
+                            0 => next[d] + rng.gen_range(0..4) as u64,
+                            1 => next_chaos[d] + rng.gen_range(0..4) as u64,
+                            _ => rng.gen_range(0..(2 * next[d] as usize)) as u64,
+                        };
+                        Event::ReceivePkt {
+                            dir,
+                            packet,
+                            copy: CopyId::from_raw(raw),
+                        }
+                    }
+                    _ if rng.gen_bool(0.5) => Event::SendMsg(Message::identical(step)),
+                    _ => Event::ReceiveMsg(Message::identical(step)),
+                };
+                assert_eq!(
+                    mon.observe(&event),
+                    model.observe(&event),
+                    "seed {seed}, step {step}: {event:?}"
+                );
+                assert_eq!(
+                    mon.first_violation(),
+                    model.first,
+                    "seed {seed}, step {step}"
+                );
+                assert_eq!(mon.events_seen(), model.events);
+                // Hand the run over to a stale monitor now and then: the
+                // copy must behave exactly like the original from here on.
+                if rng.gen_range(0..40) == 0 {
+                    stale.clone_from(&mon);
+                    std::mem::swap(&mut mon, &mut stale);
+                }
+            }
+        }
     }
 }
