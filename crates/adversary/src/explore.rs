@@ -161,11 +161,11 @@ pub fn scope_root(proto: &dyn DataLink, cfg: &ExploreConfig) -> System {
 
 /// Builds the exploration root for `cfg`: a fresh closed system, its event
 /// log disabled first when `event_log` is false (the parallel engine's
-/// counters-only frontier), then the corrupted-start preload applied if
-/// configured. Both engines — and the counterexample re-materialisation —
-/// construct their roots through this one path, so corrupted starts cannot
-/// desynchronise them.
-pub(crate) fn build_root(proto: &dyn DataLink, cfg: &ExploreConfig, event_log: bool) -> System {
+/// counters-only frontier, the only kind [`System::pack`] accepts), then
+/// the corrupted-start preload applied if configured. Both engines — and
+/// the counterexample re-materialisation — construct their roots through
+/// this one path, so corrupted starts cannot desynchronise them.
+pub fn build_root(proto: &dyn DataLink, cfg: &ExploreConfig, event_log: bool) -> System {
     let mut root = System::new(proto);
     if !event_log {
         root.disable_event_log();

@@ -18,15 +18,19 @@
 //!   node to a per-level arena, and full paths are reconstructed by walking
 //!   the parent chain — only on a violation or never. Expanding a node
 //!   copies two words instead of cloning an O(depth) vector.
-//! - **Pooled systems.** Expanded successors draw recycled, boxed
-//!   [`System`]s from a pool and refill them in place
-//!   ([`System::assign_from`]); merged-out duplicates and retired frontiers
-//!   return to the pool. Pool, frontier and merge bins move the boxes, so
-//!   sorting a shard moves 32-byte candidates, never a whole system. With
-//!   the flat multiset, the monitor's flat copy ledger and fieldwise
-//!   `clone_from` plumbing underneath, a warm expansion performs no heap
-//!   allocation (pinned by the allocation regression test in
-//!   `tests/explore_alloc.rs`).
+//! - **Packed frontier.** A frontier state is not a `System` but a
+//!   lossless packed byte record ([`System::pack`], varint fields, about
+//!   120 bytes at the bench scope), stored back to back in one flat arena
+//!   per level in path-rank order. Each worker unpacks a node once into a
+//!   scratch system, derives every successor in a second scratch system
+//!   ([`System::assign_from`], then the action), and packs only the
+//!   successors that survive the resident dedup probe into its own
+//!   candidate arena. Both scratch systems stay hot in cache, the merge
+//!   sorts 32-byte candidates that point into those arenas, and rank
+//!   assignment copies each winner's bytes into the next level's arena.
+//!   With the flat multiset and copy ledger underneath, a warm expansion
+//!   performs no heap allocation (pinned by the allocation regression
+//!   test in `tests/explore_alloc.rs`).
 //! - **Tiered dedup.** The visited set behind the engine is a
 //!   [`VisitedSet`] tier chosen by [`VisitedSpec`] (see [`crate::visited`]):
 //!   the exact RAM tier runs 64 FNV shards on the fixed-key FNV-64 hasher
@@ -72,11 +76,11 @@
 //!   (the conclusive answer beats the resource excuse); the sequential
 //!   oracle may report `Truncated` on such knife-edge scopes.
 //!
-//! Frontier states are held with counters-only executions
-//! ([`System::disable_event_log`]) so cloning a node is O(protocol state),
-//! not O(history); the winning counterexample is re-materialised by
-//! replaying its schedule through the strict scheduler — which doubles as
-//! an end-to-end validation of every reported attack.
+//! Frontier states carry counters-only executions
+//! ([`System::disable_event_log`]), so a record is O(protocol state), not
+//! O(history); the winning counterexample is re-materialised by replaying
+//! its schedule through the strict scheduler — which doubles as an
+//! end-to-end validation of every reported attack.
 
 use crate::codec::EncodedState;
 use crate::explore::{
@@ -112,30 +116,111 @@ struct PathRec {
     step: ScheduleStep,
 }
 
-/// A successor discovered during a level, pending the deterministic merge.
-/// The system is boxed so the merge sorts, swaps and pops 32-byte
-/// candidates instead of moving whole `System`s through its bins.
+/// A successor discovered during a level, pending the deterministic merge:
+/// its key and path record, and where its packed state sits — bytes
+/// `off..off + len` of worker `worker`'s candidate arena. Small and `Copy`,
+/// so the merge sorts, swaps and pops 32-byte values.
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
     key: u64,
     rec: PathRec,
-    sys: Box<System>,
+    worker: u32,
+    off: u32,
+    len: u32,
 }
 
-/// Per-worker scratch: action/oldest-copy buffers for the expansion core, a
-/// local system pool, and the candidate/violation out-buffers. Candidates
-/// are binned by visited-shard index at discovery time ([`shard_of`]), so
-/// the post-level merge starts from 64 disjoint key spaces per worker.
-/// Everything is reused level to level and run to run.
-// Boxed systems are deliberate: pool pops and pushes move a pointer, not
-// a whole `System`.
-#[allow(clippy::vec_box)]
-#[derive(Debug, Default)]
+/// A worker's telemetry tallies for one level, added to the shared
+/// counters once per level instead of once per successor.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    expansions: u64,
+    candidates: u64,
+    dedup_hits: u64,
+    pruned: u64,
+}
+
+/// Per-worker scratch: the two scratch systems, action/oldest-copy buffers
+/// for the expansion core, and the candidate/violation out-buffers.
+/// Candidates are binned by visited-shard index at discovery time
+/// ([`shard_of`]), so the post-level merge starts from 64 disjoint key
+/// spaces per worker. Everything is reused level to level and run to run.
+#[derive(Debug)]
 struct WorkerScratch {
+    /// The frontier node being expanded, unpacked once per node.
+    parent: System,
+    /// The successor being derived, refilled from `parent` per action.
+    next: System,
+    /// This level's candidate records, back to back.
+    out: Vec<u8>,
     actions: Vec<Action>,
     oldest: Vec<(Packet, CopyId)>,
-    pool: Vec<Box<System>>,
     candidates: Vec<Vec<Candidate>>,
     violations: Vec<PathRec>,
+    tally: Tally,
+}
+
+impl WorkerScratch {
+    fn new(root: &System) -> Self {
+        WorkerScratch {
+            parent: root.clone(),
+            next: root.clone(),
+            out: Vec::new(),
+            actions: Vec::new(),
+            oldest: Vec::new(),
+            candidates: (0..SHARDS).map(|_| Vec::new()).collect(),
+            violations: Vec::new(),
+            tally: Tally::default(),
+        }
+    }
+}
+
+/// One level's frontier: packed [`System`] records back to back in
+/// path-rank order, record `i` ending at byte `ends[i]`.
+#[derive(Debug, Default)]
+struct Frontier {
+    bytes: Vec<u8>,
+    ends: Vec<u32>,
+}
+
+impl Frontier {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    fn record(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.bytes[start..self.ends[i] as usize]
+    }
+
+    /// Appends one record.
+    fn push(&mut self, record: &[u8]) {
+        self.bytes.extend_from_slice(record);
+        self.seal();
+    }
+
+    /// Ends the record written into `bytes` since the previous end.
+    fn seal(&mut self) {
+        self.ends.push(arena_offset(self.bytes.len()));
+    }
+
+    /// Exact resident size: the records plus their offsets.
+    fn resident_bytes(&self) -> usize {
+        self.bytes.len() + self.ends.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// A byte offset into a level's frontier or candidate arena.
+fn arena_offset(n: usize) -> u32 {
+    u32::try_from(n).expect("one level's packed records outgrew 4 GiB")
 }
 
 /// Per-shard merge state, retained in the arena: the shard's combined
@@ -152,34 +237,25 @@ struct ShardMerge {
     start: usize,
 }
 
-impl std::fmt::Debug for Candidate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Candidate")
-            .field("key", &self.key)
-            .field("rec", &self.rec)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Caller-owned reusable workspace for [`ParallelExplorer::explore_in`]:
-/// the visited set (any [`VisitedSpec`] tier), the system pool, per-worker
-/// scratches, the path arena, and the merge buffers. Running repeated
-/// explorations through one arena keeps the steady-state expansion loop
-/// entirely off the allocator — the campaign runner and the allocation
-/// regression test both rely on this.
-// Pool and frontier hold boxed systems on purpose: recycling a system and
-// building the next frontier move pointers, not whole `System`s.
-#[allow(clippy::vec_box)]
+/// the visited set (any [`VisitedSpec`] tier), per-worker scratches (two
+/// scratch systems and a candidate arena each), the path arena, the packed
+/// frontier arenas of the current and the next level, and the merge
+/// buffers. Running repeated explorations through one arena keeps the
+/// steady-state expansion loop entirely off the allocator — the campaign
+/// runner and the allocation regression test both rely on this.
 #[derive(Debug)]
 pub struct ExploreArena {
     visited: Box<dyn VisitedSet>,
     spec: VisitedSpec,
-    pool: Vec<Box<System>>,
     workers: Vec<WorkerScratch>,
     /// `levels[d]` holds one [`PathRec`] per frontier node at depth `d`
     /// (`levels[0]` stays empty: the root has no incoming step).
     levels: Vec<Vec<PathRec>>,
-    frontier: Vec<Box<System>>,
+    /// The level being expanded.
+    frontier: Frontier,
+    /// The level rank assignment is filling; swapped in after the merge.
+    next: Frontier,
     /// Shard-major transpose buffer: `bins_in[s * stride + w]` is worker
     /// `w`'s candidate bin for shard `s`, swapped in header-only so the
     /// merge can hand disjoint shard groups to threads.
@@ -195,10 +271,10 @@ impl Default for ExploreArena {
         ExploreArena {
             visited: VisitedSpec::Ram.build(),
             spec: VisitedSpec::Ram,
-            pool: Vec::new(),
             workers: Vec::new(),
             levels: Vec::new(),
-            frontier: Vec::new(),
+            frontier: Frontier::default(),
+            next: Frontier::default(),
             bins_in: Vec::new(),
             merges: (0..SHARDS).map(|_| ShardMerge::default()).collect(),
             heap: Vec::with_capacity(SHARDS),
@@ -246,40 +322,39 @@ impl ExploreArena {
     }
 
     /// Clears logical state while keeping every allocation: the visited
-    /// set retains capacity, systems return to the pool, level/merge
-    /// buffers reset to length zero.
-    fn reset(&mut self, threads: usize) {
+    /// set retains capacity, frontier, level and merge buffers reset to
+    /// length zero.
+    fn reset(&mut self) {
         self.visited.clear();
-        while self.workers.len() < threads {
-            self.workers.push(WorkerScratch::default());
+        self.frontier.clear();
+        self.next.clear();
+        for bin in self.bins_in.iter_mut() {
+            bin.clear();
         }
-        let ExploreArena {
-            pool,
-            workers,
-            levels,
-            frontier,
-            bins_in,
-            merges,
-            ..
-        } = self;
-        pool.append(frontier);
-        for bin in bins_in.iter_mut() {
-            pool.extend(bin.drain(..).map(|c| c.sys));
+        for m in self.merges.iter_mut() {
+            m.bin.clear();
         }
-        for m in merges.iter_mut() {
-            pool.extend(m.bin.drain(..).map(|c| c.sys));
-        }
-        for w in workers.iter_mut() {
-            while w.candidates.len() < SHARDS {
-                w.candidates.push(Vec::new());
-            }
+        for w in self.workers.iter_mut() {
             for bin in w.candidates.iter_mut() {
-                pool.extend(bin.drain(..).map(|c| c.sys));
+                bin.clear();
             }
             w.violations.clear();
         }
-        for level in levels.iter_mut() {
+        for level in self.levels.iter_mut() {
             level.clear();
+        }
+    }
+
+    /// Gives every worker scratch systems of `root`'s protocol, adding
+    /// workers up to `threads`. `assign_from` swaps the automata when a
+    /// reused arena switches protocols.
+    fn seed_workers(&mut self, root: &System, threads: usize) {
+        for w in self.workers.iter_mut() {
+            w.parent.assign_from(root);
+            w.next.assign_from(root);
+        }
+        while self.workers.len() < threads {
+            self.workers.push(WorkerScratch::new(root));
         }
     }
 
@@ -322,8 +397,10 @@ pub struct ParallelExplorer {
 }
 
 /// Pre-bound metric handles for the explorer. Recording is relaxed atomics
-/// on shared cells, so worker threads update them lock-free; nothing here
-/// is ever read back into the search, keeping reports byte-identical with
+/// on shared cells; workers tally into their scratch and the engine adds
+/// the tallies once per level, so the shared cells see a handful of
+/// updates per level rather than one per successor. Nothing here is ever
+/// read back into the search, keeping reports byte-identical with
 /// telemetry on or off.
 #[derive(Debug, Clone)]
 struct ExploreTelemetry {
@@ -367,7 +444,7 @@ impl ExploreTelemetry {
 
     /// End-of-run derived metrics: visited-set shard occupancy (balance of
     /// the mixed-digest shard split, for tiers with resident shards),
-    /// overall throughput, the peak resident frontier estimate, and the
+    /// overall throughput, the peak packed frontier size, and the
     /// memory-footprint gauges of the tiered visited-set work
     /// (`explore.visited_bytes`, `explore.codec_bytes_per_state`).
     fn finalize(&self, visited: &dyn VisitedSet, elapsed_secs: f64, peak_frontier_bytes: usize) {
@@ -465,7 +542,7 @@ impl ParallelExplorer {
         arena: &mut ExploreArena,
     ) -> ExploreOutcome {
         let started = Instant::now();
-        arena.reset(self.threads);
+        arena.reset();
         let (outcome, peak_frontier_bytes) = self.run(proto, cfg, arena);
         if let Some(tel) = &self.telemetry {
             tel.finalize(
@@ -498,16 +575,9 @@ impl ParallelExplorer {
         if let Some(t) = tel {
             t.states.inc();
         }
-        // The root reuses a pooled box when there is one, so a warm run
-        // allocates no box of its own.
-        let root = match arena.pool.pop() {
-            Some(mut recycled) => {
-                *recycled = root;
-                recycled
-            }
-            None => Box::new(root),
-        };
-        arena.frontier.push(root);
+        arena.seed_workers(&root, self.threads);
+        root.pack(&mut arena.frontier.bytes);
+        arena.frontier.seal();
         let mut peak_frontier_bytes = 0usize;
 
         for depth in 0..cfg.max_depth {
@@ -526,12 +596,17 @@ impl ParallelExplorer {
             });
             if let Some(t) = tel {
                 t.frontier_width.record(arena.frontier.len() as u64);
-                // The resident estimate walks the frontier, so only pay for
-                // it when someone attached a registry to read it.
-                let bytes: usize = arena.frontier.iter().map(|s| s.heap_bytes_estimate()).sum();
-                peak_frontier_bytes = peak_frontier_bytes.max(bytes);
             }
+            peak_frontier_bytes = peak_frontier_bytes.max(arena.frontier.resident_bytes());
             self.expand_level(cfg, por, arena);
+            if let Some(t) = tel {
+                for w in &arena.workers {
+                    t.expansions.add(w.tally.expansions);
+                    t.candidates.add(w.tally.candidates);
+                    t.dedup_hits.add(w.tally.dedup_hits);
+                    t.pruned.add(w.tally.pruned);
+                }
+            }
 
             // Violations: the lexicographically smallest path wins; within
             // one level that is the minimal (parent rank, step) pair.
@@ -555,10 +630,10 @@ impl ParallelExplorer {
             // when telemetry is attached).
             let ExploreArena {
                 visited,
-                pool,
                 workers,
                 levels,
                 frontier,
+                next,
                 bins_in,
                 merges,
                 heap,
@@ -615,9 +690,6 @@ impl ParallelExplorer {
             }
 
             let serial_resumed = tel.map(|_| Instant::now());
-            // The expanded frontier is dead; recycle its systems.
-            pool.append(frontier);
-
             // Admit pass (serial): shard-major over the compacted winners.
             // Each winner key was proven absent by the resident probe at
             // expansion time plus the spilled probe above, so exact tiers
@@ -625,17 +697,17 @@ impl ParallelExplorer {
             // its filter and may still reject (a same-level false dedup),
             // which stays on the rare path.
             let mut level_dedup = 0u64;
+            let mut level_states = 0u64;
             for m in merges.iter_mut() {
                 level_dedup += m.start as u64;
                 let mut i = m.start;
                 while i < m.bin.len() {
                     if visited.insert_new(m.bin[i].key) {
                         states += 1;
-                        if let Some(t) = tel {
-                            t.states.inc();
-                        }
+                        level_states += 1;
                         if states >= cfg.max_states {
                             if let Some(t) = tel {
+                                t.states.add(level_states);
                                 t.dedup_hits.add(level_dedup);
                             }
                             return (ExploreOutcome::Truncated { states }, peak_frontier_bytes);
@@ -643,12 +715,12 @@ impl ParallelExplorer {
                         i += 1;
                     } else {
                         level_dedup += 1;
-                        let c = m.bin.remove(i);
-                        pool.push(c.sys);
+                        m.bin.remove(i);
                     }
                 }
             }
             if let Some(t) = tel {
+                t.states.add(level_states);
                 t.dedup_hits.add(level_dedup);
             }
 
@@ -658,11 +730,13 @@ impl ParallelExplorer {
             // path order with O(1) by-value pops — each node's index in
             // the next frontier and the level's record arena *is* its path
             // rank, the invariant that lets the merge compare two-word
-            // records instead of whole paths.
+            // records instead of whole paths. Each winner's packed bytes
+            // move from its worker's candidate arena to the next level's.
             while levels.len() <= depth + 1 {
                 levels.push(Vec::new());
             }
             let level = &mut levels[depth + 1];
+            next.clear();
             heap.clear();
             for (s, m) in merges.iter().enumerate() {
                 if m.bin.len() > m.start {
@@ -673,16 +747,17 @@ impl ParallelExplorer {
                 let m = &mut merges[s];
                 let c = m.bin.pop().expect("heap tracks non-empty tails");
                 level.push(c.rec);
-                frontier.push(c.sys);
+                let out = &workers[c.worker as usize].out;
+                next.push(&out[c.off as usize..][..c.len as usize]);
                 if m.bin.len() > m.start {
                     heap_push(heap, (m.bin[m.bin.len() - 1].rec, s));
                 }
             }
-            // What is left in the bins are the level's duplicates;
-            // recycle their systems.
+            // What is left in the bins are the level's duplicates.
             for m in merges.iter_mut() {
-                pool.extend(m.bin.drain(..).map(|c| c.sys));
+                m.bin.clear();
             }
+            std::mem::swap(frontier, next);
             if let (Some(t), Some(resumed)) = (tel, serial_resumed) {
                 serial_ns += resumed.elapsed().as_nanos() as u64;
                 t.merge_serial.add(serial_ns);
@@ -696,40 +771,53 @@ impl ParallelExplorer {
     /// an atomic cursor; a frontier too small to fill one chunk per worker
     /// runs on the calling thread without spawning a scope.
     fn expand_level(&self, cfg: &ExploreConfig, por: PorCtx, arena: &mut ExploreArena) {
-        let tel = self.telemetry.as_ref();
         let ExploreArena {
             visited,
-            pool,
             workers,
             frontier,
             ..
         } = arena;
-        let nworkers = self.threads.min(frontier.len().div_ceil(CHUNK)).max(1);
-        // Hand the recycled systems to the active workers round-robin so
-        // every thread draws from a warm local pool.
-        for (i, sys) in pool.drain(..).enumerate() {
-            workers[i % nworkers].pool.push(sys);
+        for w in workers.iter_mut() {
+            w.out.clear();
+            w.tally = Tally::default();
         }
+        // Frozen for the level: workers only probe membership, so a shared
+        // borrow of the tier is all they get (the trait requires `Sync`).
+        let visited: &dyn VisitedSet = &**visited;
+        let frontier = &*frontier;
+        let nworkers = self.threads.min(frontier.len().div_ceil(CHUNK)).max(1);
         if nworkers == 1 {
             let scratch = &mut workers[0];
-            for (rank, sys) in frontier.iter().enumerate() {
-                expand_node(sys, rank as u32, &**visited, cfg, por, tel, scratch);
+            for rank in 0..frontier.len() {
+                expand_node(
+                    frontier.record(rank),
+                    rank as u32,
+                    0,
+                    visited,
+                    cfg,
+                    por,
+                    scratch,
+                );
             }
             return;
         }
         let cursor = ChunkCursor::new(frontier.len(), CHUNK);
-        let frontier = &*frontier;
-        // Frozen for the level: workers only probe membership, so a shared
-        // borrow of the tier is all they get (the trait requires `Sync`).
-        let visited: &dyn VisitedSet = &**visited;
         std::thread::scope(|scope| {
-            for scratch in workers[..nworkers].iter_mut() {
+            for (worker, scratch) in workers[..nworkers].iter_mut().enumerate() {
                 let cursor = &cursor;
                 scope.spawn(move || {
                     while let Some(range) = cursor.claim() {
-                        let start = range.start;
-                        for (i, sys) in frontier[range].iter().enumerate() {
-                            expand_node(sys, (start + i) as u32, visited, cfg, por, tel, scratch);
+                        for rank in range {
+                            let record = frontier.record(rank);
+                            expand_node(
+                                record,
+                                rank as u32,
+                                worker as u32,
+                                visited,
+                                cfg,
+                                por,
+                                scratch,
+                            );
                         }
                     }
                 });
@@ -738,69 +826,71 @@ impl ParallelExplorer {
     }
 }
 
+/// Expands the frontier node packed in `record`, at path rank `rank`, on
+/// worker `worker`. The node is unpacked once; per action the steps are,
+/// in order: refill `next` from the parent, apply, the violation check,
+/// the sleep rule, the key, and the resident probe. Only candidates are
+/// packed.
 fn expand_node(
-    sys: &System,
+    record: &[u8],
     rank: u32,
+    worker: u32,
     visited: &dyn VisitedSet,
     cfg: &ExploreConfig,
     por: PorCtx,
-    tel: Option<&ExploreTelemetry>,
     scratch: &mut WorkerScratch,
 ) {
-    if let Some(t) = tel {
-        t.expansions.inc();
-    }
-    enabled_actions_into(sys, cfg, &mut scratch.oldest, &mut scratch.actions);
-    for k in 0..scratch.actions.len() {
-        let action = scratch.actions[k];
-        let mut next = match scratch.pool.pop() {
-            Some(mut recycled) => {
-                recycled.assign_from(sys);
-                recycled
-            }
-            None => Box::new(sys.clone()),
-        };
-        apply(&mut next, action);
+    let WorkerScratch {
+        parent,
+        next,
+        out,
+        actions,
+        oldest,
+        candidates,
+        violations,
+        tally,
+    } = scratch;
+    tally.expansions += 1;
+    parent.unpack(record);
+    enabled_actions_into(parent, cfg, oldest, actions);
+    for &action in actions.iter() {
+        next.assign_from(parent);
+        apply(next, action);
         let rec = PathRec {
             parent: rank,
             step: to_step(action),
         };
         if next.violation().is_some() {
-            scratch.violations.push(rec);
-            scratch.pool.push(next);
+            violations.push(rec);
             continue;
         }
         // Sleep-set pruning, mirrored exactly from the sequential engine:
         // after the violation check, before dedup. Pure in (state, action),
         // so every thread schedule prunes the identical edge set.
-        if por.sleeps(sys, &next, action, cfg) {
-            if let Some(t) = tel {
-                t.pruned.inc();
-            }
-            scratch.pool.push(next);
+        if por.sleeps(parent, next, action, cfg) {
+            tally.pruned += 1;
             continue;
         }
-        let key = por.key(&next);
+        let key = por.key(next);
         // Frozen *resident* membership check — for disk-spilling tiers
         // this is the RAM delta only; spilled-run membership is settled
         // once per level by the merge's batched sorted probe, so the hot
         // loop never waits on a positioned read. Same-level duplicates are
         // likewise resolved in the merge.
-        if !visited.contains_resident(key) {
-            if let Some(t) = tel {
-                t.candidates.inc();
-            }
-            scratch.candidates[shard_of(key)].push(Candidate {
-                key,
-                rec,
-                sys: next,
-            });
-        } else {
-            if let Some(t) = tel {
-                t.dedup_hits.inc();
-            }
-            scratch.pool.push(next);
+        if visited.contains_resident(key) {
+            tally.dedup_hits += 1;
+            continue;
         }
+        tally.candidates += 1;
+        let off = out.len();
+        next.pack(out);
+        candidates[shard_of(key)].push(Candidate {
+            key,
+            rec,
+            worker,
+            off: arena_offset(off),
+            len: arena_offset(out.len() - off),
+        });
     }
 }
 
@@ -1089,26 +1179,26 @@ mod tests {
     }
 
     #[test]
-    fn merge_elements_stay_pointer_sized() {
-        // The merge sorts, swaps and pops candidates and the pool and
-        // frontier move systems level after level: all of them must stay
-        // handles, never by-value `System`s.
-        fn elem<T>(_: &[T]) -> usize {
-            std::mem::size_of::<T>()
-        }
+    fn candidates_and_frontier_records_stay_compact() {
+        // The merge sorts, swaps and pops candidates: they stay small
+        // handles into the packed arenas, never carrying a state.
         assert!(
             std::mem::size_of::<Candidate>() <= 32,
             "Candidate is {} bytes",
             std::mem::size_of::<Candidate>()
         );
-        let arena = ExploreArena::new();
-        let word = std::mem::size_of::<usize>();
-        assert_eq!(elem(&arena.frontier), word, "frontier element");
-        assert_eq!(elem(&arena.pool), word, "arena pool element");
-        assert_eq!(
-            elem(&WorkerScratch::default().pool),
-            word,
-            "worker pool element"
+        // At the default scope a packed frontier state costs well under
+        // 256 bytes, offsets included; a boxed `System` costs kilobytes.
+        let registry = Arc::new(Registry::new());
+        ParallelExplorer::new(2)
+            .with_telemetry(Arc::clone(&registry), None)
+            .explore(&SequenceNumber::new(), &ExploreConfig::default());
+        let snap = registry.snapshot();
+        let peak = snap.gauges["explore.peak_frontier_bytes"].value;
+        let widest = snap.histograms["explore.frontier_width"].max;
+        assert!(
+            peak <= 256 * widest,
+            "peak frontier {peak} bytes for a widest level of {widest} states"
         );
     }
 
@@ -1122,7 +1212,8 @@ mod tests {
     fn arena_reuse_preserves_reports() {
         // Back-to-back explorations through one arena — including a switch
         // of protocol, which exercises the assign_from type-mismatch
-        // fallback on pooled systems — match fresh-arena runs exactly.
+        // fallback on the workers' scratch systems — match fresh-arena
+        // runs exactly.
         let explorer = ParallelExplorer::new(2);
         let cfg = ExploreConfig::default();
         let mut arena = ExploreArena::new();
@@ -1277,7 +1368,7 @@ mod tests {
         assert!(snap.values.contains_key("explore.states_per_sec"));
         assert!(
             snap.gauges["explore.peak_frontier_bytes"].value > 0,
-            "resident frontier estimate was recorded"
+            "packed frontier size was recorded"
         );
         assert!(!trace.is_empty(), "per-level spans were recorded");
     }

@@ -90,7 +90,7 @@ mod workpool;
 pub use codec::{CodecMode, EncodedState, StateCodec};
 pub use dominant::{DominantReport, DominantTracker, ProbRunConfig};
 pub use explore::{
-    explore, explore_with_stats, scope_root, Discipline, ExploreConfig, ExploreOutcome,
+    build_root, explore, explore_with_stats, scope_root, Discipline, ExploreConfig, ExploreOutcome,
     ExploreStats,
 };
 pub use explore_par::{explore_parallel, ExploreArena, ParallelExplorer};

@@ -3,6 +3,7 @@
 use nonfifo_channel::{
     corrupt_packet, AdversarialChannel, Channel, ChannelIntrospect, FaultObserver,
 };
+use nonfifo_ioa::packed::{Field, Reader};
 use nonfifo_ioa::{CopyId, Dir, Event, Execution, Header, Message, Packet, SpecViolation};
 use nonfifo_ioa::{Counts, SpecMonitor};
 use nonfifo_protocols::{BoxedReceiver, BoxedTransmitter, DataLink, GhostInfo};
@@ -30,7 +31,6 @@ pub enum Disposition {
 /// Every action is recorded in an [`Execution`] and checked online by a
 /// [`SpecMonitor`]; the falsifiers succeed precisely when the monitor flags
 /// `rm > sm`.
-#[derive(Debug)]
 pub struct System {
     /// The transmitting-station automaton.
     pub tx: BoxedTransmitter,
@@ -59,6 +59,28 @@ pub struct System {
     uses_ghosts: bool,
     /// Reusable ghost summary so the per-step sweep never allocates.
     ghost_scratch: GhostInfo,
+}
+
+/// Every field but the ghost scratch, which is per-step working memory
+/// rather than state.
+impl std::fmt::Debug for System {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("System")
+            .field("tx", &self.tx)
+            .field("rx", &self.rx)
+            .field("fwd", &self.fwd)
+            .field("bwd", &self.bwd)
+            .field("exec", &self.exec)
+            .field("monitor", &self.monitor)
+            .field("next_msg", &self.next_msg)
+            .field("round_watermark", &self.round_watermark)
+            .field("burst", &self.burst)
+            .field("peak_space", &self.peak_space)
+            .field("sent_values", &self.sent_values)
+            .field("partitioned", &self.partitioned)
+            .field("uses_ghosts", &self.uses_ghosts)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Clone for System {
@@ -113,9 +135,9 @@ impl System {
     /// [`Transmitter::assign_from`](nonfifo_protocols::Transmitter::assign_from)
     /// (falling back to `clone_box` on a concrete-type mismatch), and the
     /// channels, monitor, and execution reuse their allocations through
-    /// `clone_from`. The state-space explorer recycles frontier systems
-    /// through a pool with this, which is what keeps its steady-state
-    /// expansion loop off the allocator.
+    /// `clone_from`. The parallel explorer derives every successor in a
+    /// reused scratch system with this, which is what keeps its
+    /// steady-state expansion loop off the allocator.
     pub fn assign_from(&mut self, source: &System) {
         if !self.tx.assign_from(source.tx.as_ref()) {
             self.tx = source.tx.clone_box();
@@ -135,6 +157,63 @@ impl System {
         self.partitioned = source.partitioned;
         self.uses_ghosts = source.uses_ghosts;
         // ghost_scratch is per-step scratch, not logical state: keep ours.
+    }
+
+    /// Appends this system's complete state to `out` as one packed record
+    /// (see [`nonfifo_ioa::packed`]): both automata
+    /// ([`Transmitter::pack_state`](nonfifo_protocols::Transmitter::pack_state)),
+    /// both channels, the execution's counters, the monitor's copy ledgers
+    /// and counters, and this struct's own fields — everything but the
+    /// per-step ghost scratch. The parallel explorer keeps its frontier as
+    /// these records.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the two frontier invariants: a latched violation
+    /// (violating successors are never admitted) and an event log (frontier
+    /// systems run [counters-only](System::disable_event_log)).
+    pub fn pack(&self, out: &mut Vec<u8>) {
+        self.tx.pack_state(out);
+        self.rx.pack_state(out);
+        self.fwd.pack(out);
+        self.bwd.pack(out);
+        self.exec.pack(out);
+        self.monitor.pack(out);
+        self.next_msg.pack(out);
+        self.round_watermark.pack(out);
+        self.burst.pack(out);
+        self.peak_space.pack(out);
+        self.sent_values.pack(out);
+        self.partitioned.pack(out);
+        self.uses_ghosts.pack(out);
+    }
+
+    /// Overwrites this system with the record `bytes` written by
+    /// [`pack`](System::pack), reusing every buffer it owns. The result
+    /// equals the packed system field for field, provided `self` runs the
+    /// same protocol (the same concrete automaton types); the explorer
+    /// guarantees that by seeding its scratch systems from the run's root
+    /// with [`assign_from`](System::assign_from).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is not exactly one record of this protocol.
+    pub fn unpack(&mut self, bytes: &[u8]) {
+        let mut r = Reader::new(bytes);
+        self.tx.unpack_state(&mut r);
+        self.rx.unpack_state(&mut r);
+        self.fwd.unpack(&mut r);
+        self.bwd.unpack(&mut r);
+        self.exec.unpack(&mut r);
+        self.monitor.unpack(&mut r);
+        self.next_msg.unpack(&mut r);
+        self.round_watermark.unpack(&mut r);
+        self.burst.unpack(&mut r);
+        self.peak_space.unpack(&mut r);
+        self.sent_values.unpack(&mut r);
+        self.partitioned.unpack(&mut r);
+        self.uses_ghosts.unpack(&mut r);
+        r.finish();
     }
 
     /// The recorded execution so far.
@@ -218,9 +297,9 @@ impl System {
     }
 
     /// Approximate resident bytes of this system: the struct itself plus
-    /// the automata's live state and the channels' reserved buffers. Feeds
-    /// the explorer's `explore.peak_frontier_bytes` gauge; an estimate, not
-    /// an accounting guarantee.
+    /// the automata's live state and the channels' reserved buffers. An
+    /// estimate, not an accounting guarantee; compare a packed record's
+    /// exact length ([`pack`](System::pack)).
     pub fn heap_bytes_estimate(&self) -> usize {
         std::mem::size_of::<System>()
             + self.tx.space_bytes()

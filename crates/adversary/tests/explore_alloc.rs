@@ -1,14 +1,16 @@
-//! Allocation regression pin for the exploration hot path.
+//! Allocation regression pins for the exploration hot path.
 //!
-//! The zero-copy engine promises that steady-state expansion — pop a
-//! recycled [`System`], refill it with `assign_from`, apply an action, hash
-//! it, merge it — performs no heap allocation once the arena's buffers have
-//! warmed up. This pin makes that promise falsifiable: a counting global
+//! The zero-copy engine promises that steady-state expansion — unpack a
+//! frontier record into a scratch system, refill a second scratch system
+//! from it with `assign_from`, apply an action, hash it, pack it, merge it
+//! — performs no heap allocation once the arena's buffers have warmed up. This pin makes that promise falsifiable: a counting global
 //! allocator measures a warm exploration end to end, and the budget is a
 //! small constant (the per-run root-system setup), not a function of the
 //! hundreds of expansions the scope performs. A regression that puts even
 //! one allocation back into the per-expansion loop blows the budget by an
-//! order of magnitude.
+//! order of magnitude. A second pin bounds a fresh arena's first run: its
+//! buffers grow from empty a few times each, but no state costs an
+//! allocation of its own.
 
 use nonfifo_adversary::{ExploreArena, ExploreConfig, ParallelExplorer};
 use nonfifo_protocols::SequenceNumber;
@@ -67,18 +69,28 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-wide and tests run on parallel threads: every
+/// measuring test holds this lock.
+static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Allocations a fresh arena's first run may make at the default scope:
+/// 458–465 measured with packed frontier records, plus headroom. Boxed
+/// frontier systems made 1,475.
+const FRESH_BUDGET: u64 = 600;
+
 #[test]
 fn warm_exploration_allocates_a_small_constant() {
     // The sequence-number certificate scope: a few hundred expansions, no
     // violation (so no schedule materialization muddies the count), single
     // thread (so no spawn overhead either — the promise under test is the
     // expansion loop itself).
+    let _serial = MEASURING.lock().expect("a measuring test panicked");
     let explorer = ParallelExplorer::new(1);
     let cfg = ExploreConfig::default();
     let mut arena = ExploreArena::new();
 
     // Warm-up: the first runs grow every buffer the engine will ever need
-    // for this scope (shards, pools, scratches, the path arena).
+    // for this scope (shards, frontier arenas, scratches, the path arena).
     let cold = explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
     explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
 
@@ -99,6 +111,27 @@ fn warm_exploration_allocates_a_small_constant() {
         spent <= 32,
         "warm exploration allocated {spent} times; the expansion loop is \
          supposed to run allocation-free on recycled arena buffers"
+    );
+}
+
+#[test]
+fn fresh_exploration_allocates_per_buffer_not_per_state() {
+    // A fresh arena's first run at the default scope (419 states): every
+    // buffer grows from empty a few times, and that is all. A frontier or
+    // candidate state that owned heap buffers of its own would put
+    // hundreds of allocations per level back.
+    let _serial = MEASURING.lock().expect("a measuring test panicked");
+    let before = allocations();
+    let outcome = ParallelExplorer::new(1).explore_in(
+        &SequenceNumber::new(),
+        &ExploreConfig::default(),
+        &mut ExploreArena::new(),
+    );
+    let spent = allocations() - before;
+    assert!(outcome.is_certificate(), "{}", outcome.report());
+    assert!(
+        spent <= FRESH_BUDGET,
+        "fresh exploration allocated {spent} times (budget {FRESH_BUDGET})"
     );
 }
 

@@ -2,6 +2,7 @@
 
 use crate::channel::{Channel, ChannelIntrospect, FaultObserver};
 use crate::multiset::PacketMultiset;
+use nonfifo_ioa::packed::{Field, Reader};
 use nonfifo_ioa::{CopyId, Dir, Header, Packet};
 use std::collections::VecDeque;
 
@@ -82,8 +83,8 @@ impl Clone for AdversarialChannel {
         }
     }
 
-    /// Fieldwise `clone_from` so the explorer's system pool can refill a
-    /// recycled channel without reallocating its buffers.
+    /// Fieldwise `clone_from` so the explorer can refill a scratch
+    /// system's channel without reallocating its buffers.
     fn clone_from(&mut self, source: &Self) {
         self.dir = source.dir;
         self.mode = source.mode;
@@ -236,6 +237,47 @@ impl AdversarialChannel {
         self.queue.len()
     }
 
+    /// Appends the channel to a packed state record (see
+    /// [`nonfifo_ioa::packed`]): direction, mode, the parked multiset, the
+    /// delivery queue, undrained drops and the copy counters.
+    pub fn pack(&self, out: &mut Vec<u8>) {
+        self.dir.pack(out);
+        match self.mode {
+            DeliveryMode::Park => out.push(0),
+            DeliveryMode::Immediate => out.push(1),
+            DeliveryMode::OptimalSince(mark) => {
+                out.push(2);
+                mark.pack(out);
+            }
+        }
+        self.parked.pack(out);
+        self.queue.pack(out);
+        self.drops.pack(out);
+        self.next_copy.pack(out);
+        self.sent.pack(out);
+        self.delivered.pack(out);
+        self.dropped.pack(out);
+    }
+
+    /// Overwrites `self` with a channel packed by
+    /// [`pack`](AdversarialChannel::pack), keeping its buffers.
+    pub fn unpack(&mut self, r: &mut Reader<'_>) {
+        self.dir.unpack(r);
+        self.mode = match r.u8() {
+            0 => DeliveryMode::Park,
+            1 => DeliveryMode::Immediate,
+            2 => DeliveryMode::OptimalSince(CopyId::read(r)),
+            tag => panic!("packed delivery mode tag {tag}"),
+        };
+        self.parked.unpack(r);
+        self.queue.unpack(r);
+        self.drops.unpack(r);
+        self.next_copy.unpack(r);
+        self.sent.unpack(r);
+        self.delivered.unpack(r);
+        self.dropped.unpack(r);
+    }
+
     /// Heap bytes currently reserved by this channel's buffers (capacities,
     /// not live lengths) — input to the explorer's frontier memory gauge.
     pub fn heap_bytes(&self) -> usize {
@@ -318,6 +360,30 @@ mod tests {
 
     fn p(h: u32) -> Packet {
         Packet::header_only(Header::new(h))
+    }
+
+    #[test]
+    fn packed_channels_round_trip_field_for_field() {
+        let mut ch = AdversarialChannel::parked(Dir::Backward);
+        for h in [0, 1, 1, 2] {
+            ch.send(p(h));
+        }
+        ch.set_mode(DeliveryMode::OptimalSince(CopyId::from_raw(3)));
+        ch.send(p(4));
+        ch.release_oldest_of_packet(p(1)).unwrap();
+        ch.drop_oldest_of_packet(p(2)).unwrap();
+        let mut out = Vec::new();
+        ch.pack(&mut out);
+        let mut back = AdversarialChannel::immediate(Dir::Forward);
+        back.send(p(9));
+        let mut r = Reader::new(&out);
+        back.unpack(&mut r);
+        r.finish();
+        assert_eq!(format!("{back:?}"), format!("{ch:?}"));
+        assert_eq!(
+            back.parked_multiset().content_hash(),
+            ch.parked_multiset().content_hash()
+        );
     }
 
     #[test]

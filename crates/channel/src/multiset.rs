@@ -1,6 +1,7 @@
 //! A multiset of in-transit packet copies with per-copy provenance.
 
 use nonfifo_ioa::fingerprint::{fnv64, mix64};
+use nonfifo_ioa::packed::{put_u64_fixed, put_varint, Field, Reader};
 use nonfifo_ioa::{CopyId, Header, Packet};
 use std::collections::BTreeMap;
 
@@ -56,9 +57,9 @@ impl Clone for PacketMultiset {
         }
     }
 
-    /// Capacity-reusing clone: the explorer's system pool assigns states
-    /// into recycled allocations, so the steady-state expansion loop never
-    /// touches the heap.
+    /// Capacity-reusing clone: the explorer assigns states into its
+    /// scratch systems' allocations, so the steady-state expansion loop
+    /// never touches the heap.
     fn clone_from(&mut self, source: &Self) {
         self.entries.clone_from(&source.entries);
         self.acc = source.acc;
@@ -94,6 +95,34 @@ impl PacketMultiset {
     /// gauge.
     pub fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<(CopyId, Packet)>()
+    }
+
+    /// Appends the multiset to a packed state record (see
+    /// [`nonfifo_ioa::packed`]): the entry count, each copy as its id's
+    /// distance from the previous id plus its packet, then the content
+    /// digest verbatim — so an unpacked multiset hashes bit-identically
+    /// without re-mixing its packets.
+    pub fn pack(&self, out: &mut Vec<u8>) {
+        self.entries.len().pack(out);
+        let mut prev = 0;
+        for &(copy, packet) in &self.entries {
+            put_varint(out, copy.raw() - prev);
+            prev = copy.raw();
+            packet.pack(out);
+        }
+        put_u64_fixed(out, self.acc);
+    }
+
+    /// Overwrites `self` with a multiset packed by
+    /// [`pack`](PacketMultiset::pack), keeping its allocation.
+    pub fn unpack(&mut self, r: &mut Reader<'_>) {
+        self.entries.clear();
+        let mut prev = 0;
+        for _ in 0..r.length() {
+            prev += r.varint();
+            self.entries.push((CopyId::from_raw(prev), Packet::read(r)));
+        }
+        self.acc = r.u64_fixed();
     }
 
     /// Inserts a copy of `packet`.
@@ -262,6 +291,23 @@ mod tests {
 
     fn c(raw: u64) -> CopyId {
         CopyId::from_raw(raw)
+    }
+
+    #[test]
+    fn packed_multisets_keep_ids_packets_and_digest() {
+        let mut ms = PacketMultiset::new();
+        ms.insert(p(3), c(2));
+        ms.insert(Packet::new(Header::new(1), Payload::new(7)), c(5));
+        ms.insert(p(3), c(1 << 48));
+        let mut out = Vec::new();
+        ms.pack(&mut out);
+        let mut back = PacketMultiset::new();
+        back.insert(p(0), c(0));
+        let mut r = Reader::new(&out);
+        back.unpack(&mut r);
+        r.finish();
+        assert_eq!(back, ms);
+        assert_eq!(back.content_hash(), ms.content_hash());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Recorded executions and the counters of the paper's Definition 2.
 
 use crate::event::Event;
+use crate::packed::{put_varint, Reader};
 use crate::packet::Dir;
 use std::fmt;
 use std::ops::Index;
@@ -131,7 +132,8 @@ impl Clone for Execution {
         }
     }
 
-    /// Fieldwise `clone_from` so pooled clones reuse the event buffer.
+    /// Fieldwise `clone_from` so clones into reused systems keep the event
+    /// buffer.
     fn clone_from(&mut self, source: &Self) {
         self.events.clone_from(&source.events);
         self.counts = source.counts;
@@ -169,6 +171,48 @@ impl Execution {
     /// True if this execution discards events and keeps only counters.
     pub fn is_counts_only(&self) -> bool {
         self.counts_only
+    }
+
+    /// Appends the counters to a packed state record (see
+    /// [`crate::packed`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless this is a [`counts_only`](Execution::counts_only)
+    /// execution: a packed record carries no event log.
+    pub fn pack(&self, out: &mut Vec<u8>) {
+        assert!(self.counts_only, "packing an execution with an event log");
+        let c = &self.counts;
+        for v in [
+            c.sm,
+            c.rm,
+            c.sp_fwd,
+            c.rp_fwd,
+            c.sp_bwd,
+            c.rp_bwd,
+            c.dropped_fwd,
+            c.dropped_bwd,
+        ] {
+            put_varint(out, v);
+        }
+    }
+
+    /// Overwrites `self` with the counters-only execution packed by
+    /// [`pack`](Execution::pack).
+    pub fn unpack(&mut self, r: &mut Reader<'_>) {
+        self.events.clear();
+        self.counts_only = true;
+        // Struct-literal fields evaluate in source order: pack's order.
+        self.counts = Counts {
+            sm: r.varint(),
+            rm: r.varint(),
+            sp_fwd: r.varint(),
+            rp_fwd: r.varint(),
+            sp_bwd: r.varint(),
+            rp_bwd: r.varint(),
+            dropped_fwd: r.varint(),
+            dropped_bwd: r.varint(),
+        };
     }
 
     /// Appends an event.

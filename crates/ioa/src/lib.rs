@@ -20,6 +20,8 @@
 //!   finite-horizon liveness), plus validity and semi-validity
 //!   (Definitions 3–4).
 //! - [`SpecMonitor`] — an incremental checker suitable for long runs.
+//! - [`packed`] — the lossless varint byte codec the parallel explorer
+//!   stores its frontier states in.
 //! - [`fingerprint`] — a deterministic hasher for protocol state
 //!   fingerprints (used by the boundness experiments of Theorem 2.1).
 //!
@@ -47,6 +49,7 @@ mod execution;
 pub mod fingerprint;
 mod message;
 mod monitor;
+pub mod packed;
 mod packet;
 pub mod spec;
 pub mod text;

@@ -34,6 +34,7 @@
 //!   grow to thousands of entries.
 
 use crate::event::Event;
+use crate::packed::{Field, Reader};
 use crate::packet::{CopyId, Dir, Packet};
 use crate::spec::SpecViolation;
 
@@ -101,6 +102,61 @@ impl CopyLedger {
             Err(i) => self.entries.insert(i, (copy, state)),
         }
     }
+
+    /// Packs the ledger as `len << 1 | sparse`, then either a *dense run*
+    /// — the first id, then each entry's state — when the ids are
+    /// consecutive (channels mint them so), or each entry's explicit id
+    /// and state otherwise (chaos twins, out-of-order ids). A state is one
+    /// tag byte, plus the packet for `Sent` entries only.
+    fn pack(&self, out: &mut Vec<u8>) {
+        let n = self.entries.len();
+        let sparse = match (self.entries.first(), self.entries.last()) {
+            (Some(&(first, _)), Some(&(last, _))) => last.raw() - first.raw() != n as u64 - 1,
+            _ => false,
+        };
+        (n << 1 | usize::from(sparse)).pack(out);
+        if !sparse {
+            if let Some((first, _)) = self.entries.first() {
+                first.pack(out);
+            }
+        }
+        for (copy, state) in &self.entries {
+            if sparse {
+                copy.pack(out);
+            }
+            match state {
+                CopyState::Sent(packet) => {
+                    out.push(0);
+                    packet.pack(out);
+                }
+                CopyState::Delivered => out.push(1),
+                CopyState::Dropped => out.push(2),
+            }
+        }
+    }
+
+    /// Refills the ledger from [`pack`](CopyLedger::pack)'s bytes, keeping
+    /// its allocation.
+    fn unpack(&mut self, r: &mut Reader<'_>) {
+        self.entries.clear();
+        let header = r.length();
+        let (n, sparse) = (header >> 1, header & 1 == 1);
+        let first = if sparse || n == 0 { 0 } else { r.varint() };
+        for i in 0..n as u64 {
+            let copy = if sparse {
+                CopyId::read(r)
+            } else {
+                CopyId::from_raw(first + i)
+            };
+            let state = match r.u8() {
+                0 => CopyState::Sent(Packet::read(r)),
+                1 => CopyState::Delivered,
+                2 => CopyState::Dropped,
+                tag => panic!("packed copy state tag {tag}"),
+            };
+            self.entries.push((copy, state));
+        }
+    }
 }
 
 /// Online checker for PL1 (both directions) and the prefix-count form of
@@ -145,7 +201,7 @@ impl Clone for SpecMonitor {
         }
     }
 
-    /// Fieldwise `clone_from` so monitor clones in the explorer's pooled
+    /// Fieldwise `clone_from` so monitor clones in the explorer's scratch
     /// systems reuse the ledgers' allocations.
     fn clone_from(&mut self, source: &Self) {
         self.copies_fwd.clone_from(&source.copies_fwd);
@@ -231,6 +287,43 @@ impl SpecMonitor {
         self.rm
     }
 
+    /// Appends the monitor's state to a packed state record (see
+    /// [`crate::packed`]): both copy ledgers and the counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a violation is latched. Records hold only the states an
+    /// exploration keeps expanding, and a violating state is never one of
+    /// them, so the record has no field for it.
+    pub fn pack(&self, out: &mut Vec<u8>) {
+        assert!(
+            self.first_violation.is_none(),
+            "packing a monitor with a latched violation"
+        );
+        self.copies_fwd.pack(out);
+        self.copies_bwd.pack(out);
+        self.sm.pack(out);
+        self.rm.pack(out);
+        self.events_seen.pack(out);
+        self.convergence_mode.pack(out);
+        self.overdeliveries.pack(out);
+        self.last_overdelivery_index.pack(out);
+    }
+
+    /// Overwrites `self` with a monitor packed by
+    /// [`pack`](SpecMonitor::pack), reusing the ledgers' allocations.
+    pub fn unpack(&mut self, r: &mut Reader<'_>) {
+        self.copies_fwd.unpack(r);
+        self.copies_bwd.unpack(r);
+        self.sm.unpack(r);
+        self.rm.unpack(r);
+        self.events_seen.unpack(r);
+        self.first_violation = None;
+        self.convergence_mode.unpack(r);
+        self.overdeliveries.unpack(r);
+        self.last_overdelivery_index.unpack(r);
+    }
+
     /// Feeds one event to the monitor.
     ///
     /// # Errors
@@ -304,6 +397,7 @@ impl SpecMonitor {
 mod tests {
     use super::*;
     use crate::message::Message;
+    use crate::packed::Reader;
     use crate::packet::Header;
 
     fn sp(c: u64) -> Event {
@@ -320,6 +414,110 @@ mod tests {
             packet: Packet::header_only(Header::new(0)),
             copy: CopyId::from_raw(c),
         }
+    }
+
+    fn dp(c: u64) -> Event {
+        Event::DropPkt {
+            dir: Dir::Forward,
+            packet: Packet::header_only(Header::new(0)),
+            copy: CopyId::from_raw(c),
+        }
+    }
+
+    /// Packs `mon`, unpacks it into a monitor holding other state, and
+    /// checks the copy is field-for-field equal and answers `probes`
+    /// exactly like the original. Returns the record's size.
+    fn assert_packs_losslessly(mon: &SpecMonitor, probes: &[Event]) -> usize {
+        let mut out = Vec::new();
+        mon.pack(&mut out);
+        let mut back = SpecMonitor::new();
+        for c in 100..140 {
+            back.observe(&sp(c)).unwrap();
+        }
+        let mut r = Reader::new(&out);
+        back.unpack(&mut r);
+        r.finish();
+        assert_eq!(format!("{back:?}"), format!("{mon:?}"));
+        let mut original = mon.clone();
+        for e in probes {
+            assert_eq!(back.observe(e), original.observe(e), "{e:?}");
+        }
+        out.len()
+    }
+
+    #[test]
+    fn dense_ledgers_pack_as_a_run() {
+        let mut mon = SpecMonitor::new();
+        for c in 5..13 {
+            mon.observe(&sp(c)).unwrap();
+        }
+        mon.observe(&rp(8)).unwrap();
+        mon.observe(&dp(10)).unwrap();
+        // Header and first id, one tag byte per copy plus a one-byte
+        // packet for the 6 still sent, the empty backward ledger, and 6
+        // counter bytes.
+        let size = assert_packs_losslessly(&mon, &[rp(8), rp(10), rp(11), rp(13)]);
+        assert_eq!(size, 2 + 8 + 6 + 1 + 6);
+    }
+
+    #[test]
+    fn sparse_ledgers_round_trip() {
+        /// Mirrors `nonfifo_channel::CHAOS_COPY_BASE`.
+        const CHAOS_COPY_BASE: u64 = 1 << 48;
+        let probes = |ids: &[u64]| -> Vec<Event> { ids.iter().map(|&c| rp(c)).collect() };
+
+        // Chaos twins minted from their own base, interleaved with
+        // ordinary ids (the ordinary one lands below the twin).
+        let mut chaos = SpecMonitor::new();
+        for e in [
+            sp(0),
+            sp(1),
+            sp(CHAOS_COPY_BASE),
+            sp(2),
+            sp(CHAOS_COPY_BASE + 1),
+            rp(CHAOS_COPY_BASE),
+        ] {
+            chaos.observe(&e).unwrap();
+        }
+        let twins = [CHAOS_COPY_BASE, CHAOS_COPY_BASE + 1, 2, 3];
+        assert_packs_losslessly(&chaos, &probes(&twins));
+
+        // Out-of-order ids with a gap.
+        let mut shuffled = SpecMonitor::new();
+        for e in [sp(5), sp(2), sp(9), rp(2)] {
+            shuffled.observe(&e).unwrap();
+        }
+        assert_packs_losslessly(&shuffled, &probes(&[2, 5, 7, 9]));
+
+        // A drop of a copy never sent leaves a `Dropped` entry in a gap.
+        let mut unsent_drop = SpecMonitor::new();
+        for e in [sp(0), sp(1), dp(4)] {
+            unsent_drop.observe(&e).unwrap();
+        }
+        assert_packs_losslessly(&unsent_drop, &probes(&[4, 1, 2]));
+    }
+
+    #[test]
+    fn convergence_counters_round_trip() {
+        let mut mon = SpecMonitor::convergence();
+        mon.observe(&Event::ReceiveMsg(Message::identical(0)))
+            .unwrap();
+        mon.observe(&sp(0)).unwrap();
+        assert_packs_losslessly(
+            &mon,
+            &[
+                Event::ReceiveMsg(Message::identical(1)),
+                Event::SendMsg(Message::identical(0)),
+            ],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "latched violation")]
+    fn packing_a_latched_violation_panics() {
+        let mut mon = SpecMonitor::new();
+        let _ = mon.observe(&rp(0));
+        mon.pack(&mut Vec::new());
     }
 
     #[test]

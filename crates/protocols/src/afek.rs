@@ -133,7 +133,7 @@ pub struct AfekFlushTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for AfekFlushTx {
     fn clone(&self) -> Self {
@@ -235,6 +235,8 @@ impl Transmitter for AfekFlushTx {
         self
     }
 
+    packed_fields!(labels, idx, pending, total_sent, outbox);
+
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
         match source.as_any().downcast_ref::<Self>() {
             Some(src) => {
@@ -263,7 +265,7 @@ pub struct AfekFlushRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for AfekFlushRx {
     fn clone(&self) -> Self {
@@ -384,6 +386,8 @@ impl Receiver for AfekFlushRx {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+
+    packed_fields!(labels, next, counted, stale_snapshot, outbox, deliveries);
 
     fn assign_from(&mut self, source: &dyn Receiver) -> bool {
         match source.as_any().downcast_ref::<Self>() {

@@ -65,7 +65,7 @@ pub struct AlternatingBitTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for AlternatingBitTx {
     fn clone(&self) -> Self {
@@ -170,6 +170,8 @@ impl Transmitter for AlternatingBitTx {
         self
     }
 
+    packed_fields!(bit, pending, outbox);
+
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
         match source.as_any().downcast_ref::<Self>() {
             Some(src) => {
@@ -191,7 +193,7 @@ pub struct AlternatingBitRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for AlternatingBitRx {
     fn clone(&self) -> Self {
@@ -278,6 +280,8 @@ impl Receiver for AlternatingBitRx {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+
+    packed_fields!(expected, delivered, outbox, inbox_deliveries);
 
     fn assign_from(&mut self, source: &dyn Receiver) -> bool {
         match source.as_any().downcast_ref::<Self>() {

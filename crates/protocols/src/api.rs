@@ -1,6 +1,7 @@
 //! The protocol automaton API: [`Transmitter`], [`Receiver`], and the
 //! [`DataLink`] factory.
 
+use nonfifo_ioa::packed::Reader;
 use nonfifo_ioa::{Header, Message, Packet};
 use std::any::Any;
 use std::fmt;
@@ -98,9 +99,10 @@ pub trait Recoverable {
 /// configuration (`Self::new(self.window)` and the like); the reset goes
 /// through the automaton's fieldwise `clone_from`, so queue and map
 /// allocations survive the reboot — the same reason the automata implement
-/// manual `Clone` for the explorer's pool. This replaces the per-protocol
-/// fieldwise reset lists that used to be duplicated (and had to be kept in
-/// sync with the field set by hand) across the window-family protocols.
+/// manual `Clone` for the explorer's scratch systems. This replaces the
+/// per-protocol fieldwise reset lists that used to be duplicated (and had
+/// to be kept in sync with the field set by hand) across the window-family
+/// protocols.
 pub fn amnesia_reboot<A: Clone>(automaton: &mut A, initial: A) {
     automaton.clone_from(&initial);
 }
@@ -183,9 +185,28 @@ pub trait Transmitter: Recoverable + fmt::Debug + Send + Sync {
     /// reusing this automaton's storage. Returns false when `source` is a
     /// different concrete type — callers fall back to
     /// [`clone_box`](Transmitter::clone_box). The state-space explorer
-    /// recycles frontier systems through a pool with this, so its
-    /// steady-state expansion loop never touches the allocator.
+    /// reuses its scratch systems with this, so its steady-state expansion
+    /// loop never touches the allocator.
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool;
+
+    /// Appends the automaton's complete state — every field, configuration
+    /// included — to a packed record (see [`nonfifo_ioa::packed`]). The
+    /// parallel explorer stores its frontier as these records.
+    ///
+    /// Required, with no fallback: a record must be lossless, so that
+    /// [`unpack_state`](Transmitter::unpack_state) into an automaton of the
+    /// same concrete type reproduces this one field for field. Automata in
+    /// this crate write both methods with the crate's `packed_fields!`
+    /// macro, one line listing every field (`packed_fields!(seq, pending,
+    /// outbox);`); each field type implements
+    /// [`Field`](nonfifo_ioa::packed::Field). A protocol elsewhere packs
+    /// each field with `Field::pack` and reads it back in the same order.
+    fn pack_state(&self, out: &mut Vec<u8>);
+
+    /// Overwrites the automaton's state with one written by
+    /// [`pack_state`](Transmitter::pack_state) on the same concrete type,
+    /// reusing this automaton's buffers. Panics on a malformed record.
+    fn unpack_state(&mut self, r: &mut Reader<'_>);
 }
 
 /// The receiving-station automaton `Aʳ`.
@@ -238,6 +259,15 @@ pub trait Receiver: Recoverable + fmt::Debug + Send + Sync {
     /// false when `source` is a different concrete type (fall back to
     /// [`clone_box`](Receiver::clone_box)).
     fn assign_from(&mut self, source: &dyn Receiver) -> bool;
+
+    /// Appends the automaton's complete state to a packed record; same
+    /// contract as [`Transmitter::pack_state`].
+    fn pack_state(&self, out: &mut Vec<u8>);
+
+    /// Overwrites the automaton's state with one written by
+    /// [`pack_state`](Receiver::pack_state) on the same concrete type; same
+    /// contract as [`Transmitter::unpack_state`].
+    fn unpack_state(&mut self, r: &mut Reader<'_>);
 }
 
 /// A boxed transmitter trait object.

@@ -82,7 +82,7 @@ pub struct GoBackNTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for GoBackNTx {
     fn clone(&self) -> Self {
@@ -205,6 +205,8 @@ impl Transmitter for GoBackNTx {
         self
     }
 
+    packed_fields!(window, modulus, base, next, unacked, outbox);
+
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
         match source.as_any().downcast_ref::<Self>() {
             Some(src) => {
@@ -226,7 +228,7 @@ pub struct GoBackNRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for GoBackNRx {
     fn clone(&self) -> Self {
@@ -310,6 +312,8 @@ impl Receiver for GoBackNRx {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+
+    packed_fields!(modulus, next_expected, outbox, deliveries);
 
     fn assign_from(&mut self, source: &dyn Receiver) -> bool {
         match source.as_any().downcast_ref::<Self>() {

@@ -39,6 +39,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Writes an automaton's `pack_state` / `unpack_state` pair from its field
+/// list: each field goes through [`nonfifo_ioa::packed::Field`] in list
+/// order. Both bodies destructure `Self` exhaustively, so a field missing
+/// from the list is a compile error rather than a state silently kept from
+/// whatever the scratch automaton held before.
+macro_rules! packed_fields {
+    ($($field:ident),+ $(,)?) => {
+        fn pack_state(&self, out: &mut Vec<u8>) {
+            let Self { $($field),+ } = self;
+            $(nonfifo_ioa::packed::Field::pack($field, out);)+
+        }
+
+        fn unpack_state(&mut self, r: &mut nonfifo_ioa::packed::Reader<'_>) {
+            let Self { $($field),+ } = self;
+            $(nonfifo_ioa::packed::Field::unpack($field, r);)+
+        }
+    };
+}
+
 mod afek;
 mod alternating_bit;
 mod api;

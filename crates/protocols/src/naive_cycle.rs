@@ -75,7 +75,7 @@ pub struct NaiveCycleTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for NaiveCycleTx {
     fn clone(&self) -> Self {
@@ -175,6 +175,8 @@ impl Transmitter for NaiveCycleTx {
         self
     }
 
+    packed_fields!(k, seq, pending, outbox);
+
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
         match source.as_any().downcast_ref::<Self>() {
             Some(src) => {
@@ -196,7 +198,7 @@ pub struct NaiveCycleRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for NaiveCycleRx {
     fn clone(&self) -> Self {
@@ -276,6 +278,8 @@ impl Receiver for NaiveCycleRx {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+
+    packed_fields!(k, delivered, outbox, deliveries);
 
     fn assign_from(&mut self, source: &dyn Receiver) -> bool {
         match source.as_any().downcast_ref::<Self>() {

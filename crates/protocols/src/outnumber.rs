@@ -113,7 +113,7 @@ pub struct OutnumberTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for OutnumberTx {
     fn clone(&self) -> Self {
@@ -223,6 +223,8 @@ impl Transmitter for OutnumberTx {
         self
     }
 
+    packed_fields!(labels, idx, pending, total_sent, outbox);
+
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
         match source.as_any().downcast_ref::<Self>() {
             Some(src) => {
@@ -252,7 +254,7 @@ pub struct OutnumberRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for OutnumberRx {
     fn clone(&self) -> Self {
@@ -376,6 +378,16 @@ impl Receiver for OutnumberRx {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+
+    packed_fields!(
+        labels,
+        next,
+        since_delivery,
+        total_received,
+        threshold,
+        outbox,
+        deliveries
+    );
 
     fn assign_from(&mut self, source: &dyn Receiver) -> bool {
         match source.as_any().downcast_ref::<Self>() {

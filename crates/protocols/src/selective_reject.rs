@@ -88,7 +88,7 @@ pub struct SelectiveRejectTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SelectiveRejectTx {
     fn clone(&self) -> Self {
@@ -246,6 +246,17 @@ impl Transmitter for SelectiveRejectTx {
         self
     }
 
+    packed_fields!(
+        window,
+        modulus,
+        base,
+        next,
+        unacked,
+        nak_queue,
+        outbox,
+        stall_ticks
+    );
+
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
         match source.as_any().downcast_ref::<Self>() {
             Some(src) => {
@@ -272,7 +283,7 @@ pub struct SelectiveRejectRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SelectiveRejectRx {
     fn clone(&self) -> Self {
@@ -394,6 +405,16 @@ impl Receiver for SelectiveRejectRx {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+
+    packed_fields!(
+        window,
+        modulus,
+        next_expected,
+        buffered,
+        naked,
+        outbox,
+        deliveries
+    );
 
     fn assign_from(&mut self, source: &dyn Receiver) -> bool {
         match source.as_any().downcast_ref::<Self>() {

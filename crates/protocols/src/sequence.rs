@@ -73,7 +73,7 @@ pub struct SequenceNumberTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SequenceNumberTx {
     fn clone(&self) -> Self {
@@ -184,6 +184,8 @@ impl Transmitter for SequenceNumberTx {
         self
     }
 
+    packed_fields!(seq, pending, outbox);
+
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
         match source.as_any().downcast_ref::<Self>() {
             Some(src) => {
@@ -204,7 +206,7 @@ pub struct SequenceNumberRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SequenceNumberRx {
     fn clone(&self) -> Self {
@@ -298,6 +300,8 @@ impl Receiver for SequenceNumberRx {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+
+    packed_fields!(next_expected, outbox, deliveries);
 
     fn assign_from(&mut self, source: &dyn Receiver) -> bool {
         match source.as_any().downcast_ref::<Self>() {

@@ -86,7 +86,7 @@ pub struct SlidingWindowTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SlidingWindowTx {
     fn clone(&self) -> Self {
@@ -207,6 +207,8 @@ impl Transmitter for SlidingWindowTx {
         self
     }
 
+    packed_fields!(window, modulus, base, next, unacked, outbox);
+
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
         match source.as_any().downcast_ref::<Self>() {
             Some(src) => {
@@ -231,7 +233,7 @@ pub struct SlidingWindowRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for SlidingWindowRx {
     fn clone(&self) -> Self {
@@ -332,6 +334,8 @@ impl Receiver for SlidingWindowRx {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+
+    packed_fields!(window, modulus, next_expected, buffered, outbox, deliveries);
 
     fn assign_from(&mut self, source: &dyn Receiver) -> bool {
         match source.as_any().downcast_ref::<Self>() {

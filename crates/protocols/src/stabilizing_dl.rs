@@ -114,7 +114,7 @@ pub struct StabilizingDlTx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for StabilizingDlTx {
     fn clone(&self) -> Self {
@@ -262,6 +262,8 @@ impl Transmitter for StabilizingDlTx {
         self
     }
 
+    packed_fields!(capacity, seq, pending, copies_sent, outbox);
+
     fn assign_from(&mut self, source: &dyn Transmitter) -> bool {
         match source.as_any().downcast_ref::<Self>() {
             Some(src) => {
@@ -288,7 +290,7 @@ pub struct StabilizingDlRx {
 }
 
 /// Manual `Clone` so `clone_from` reuses this automaton's buffers — the
-/// explorer's system pool refills recycled automata in place via
+/// explorer refills its scratch systems' automata in place via
 /// `assign_from`, and the derived `clone_from` would reallocate instead.
 impl Clone for StabilizingDlRx {
     fn clone(&self) -> Self {
@@ -396,6 +398,8 @@ impl Receiver for StabilizingDlRx {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+
+    packed_fields!(capacity, highest, counts, delivered, outbox, deliveries);
 
     fn assign_from(&mut self, source: &dyn Receiver) -> bool {
         match source.as_any().downcast_ref::<Self>() {

@@ -145,7 +145,8 @@ fn parallel_reports_are_byte_identical_across_thread_counts() {
 #[test]
 fn arena_reuse_is_invisible() {
     // The engine's zero-copy machinery — parent-pointer path records,
-    // pooled systems refilled with `assign_from`, reused worker scratch —
+    // packed frontier arenas, scratch systems refilled with `assign_from`
+    // and `unpack` —
     // lives in the `ExploreArena`. Running a random sequence of scopes and
     // protocols through ONE arena (so every run inherits the previous
     // run's recycled buffers, including across protocol switches) must
