@@ -23,10 +23,11 @@
 //! the forward pool histogram, and the message counters — determines all
 //! future behaviour of the deterministic system.
 //!
-//! This sequential explorer is the **oracle**: the level-synchronized
-//! parallel engine in [`explore_par`](crate::explore_par) shares the
-//! expansion core below (`enabled_actions` / `apply` / `state_key`) and is
-//! differentially tested against this one.
+//! Searches run through the [`Explorer`](crate::Explorer) facade. Its
+//! sequential engine, below, is the **oracle**: the level-synchronized
+//! parallel engine (`explore_par`) shares the expansion core below
+//! (`enabled_actions` / `apply` / `state_key`) and is differentially
+//! tested against this one.
 //!
 //! The two engines drive the visited tier through deliberately different
 //! contracts. The oracle calls [`VisitedSet::insert`] one key at a time —
@@ -49,10 +50,6 @@ use nonfifo_protocols::DataLink;
 use nonfifo_rng::StdRng;
 use std::collections::VecDeque;
 use std::fmt;
-
-// The state-identity plumbing lives in one shared module now
-// ([`crate::codec`] / [`crate::visited`]); these re-exports keep the
-// historical in-crate paths valid.
 
 /// What the forward channel is allowed to do with delayed copies — the
 /// channel axis of the exploration matrix.
@@ -377,42 +374,19 @@ pub(crate) fn to_step(action: Action) -> ScheduleStep {
     }
 }
 
-/// Side statistics of one exploration run — what the search did, beyond
-/// the outcome it returned.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExploreStats {
-    /// Successor transitions put to sleep by the partial-order reduction
-    /// (always 0 with [`ExploreConfig::por`] off or inapplicable).
-    pub pruned: u64,
-}
-
-/// Exhaustively explores the adversary's choices against `proto`.
-pub fn explore(proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
-    explore_with_stats(proto, cfg).0
-}
-
-/// [`explore`], also returning the run's [`ExploreStats`]. A thin wrapper
-/// over the [`Explorer`](crate::Explorer) facade in its default
-/// configuration (sequential engine, exact in-RAM visited tier) — kept so
-/// the historical entry point and its regression pins stay valid.
-pub fn explore_with_stats(
-    proto: &dyn DataLink,
-    cfg: &ExploreConfig,
-) -> (ExploreOutcome, ExploreStats) {
-    crate::explorer::Explorer::new(*cfg).explore_with_stats(proto)
-}
-
 /// The sequential breadth-first search — the oracle engine, generic over
-/// the visited tier. `visited` must arrive empty (cleared); the facade owns
-/// its construction and reuse.
+/// the visited tier: the outcome and the number of successor transitions
+/// the partial-order reduction put to sleep (0 with [`ExploreConfig::por`]
+/// off or inapplicable). `visited` must arrive empty (cleared); the facade
+/// owns its construction and reuse.
 pub(crate) fn run_sequential(
     proto: &dyn DataLink,
     cfg: &ExploreConfig,
     visited: &mut dyn VisitedSet,
-) -> (ExploreOutcome, ExploreStats) {
+) -> (ExploreOutcome, u64) {
     let root = build_root(proto, cfg, true);
     let por = crate::por::PorCtx::new(&root, cfg);
-    let mut stats = ExploreStats::default();
+    let mut pruned = 0u64;
     visited.insert(por.key(&root));
     let mut frontier: VecDeque<(System, Vec<ScheduleStep>)> = VecDeque::new();
     frontier.push_back((root, Vec::new()));
@@ -432,7 +406,7 @@ pub(crate) fn run_sequential(
                     depth: steps.len(),
                     schedule: Schedule::new(steps),
                 };
-                return (outcome, stats);
+                return (outcome, pruned);
             }
             // The sleep decision is a pure function of (state, action), so
             // it sits *after* the violation check (a violating successor is
@@ -440,7 +414,7 @@ pub(crate) fn run_sequential(
             // a slept edge is neither recorded nor expanded, here or in the
             // parallel engine.
             if por.sleeps(&sys, &next, action, cfg) {
-                stats.pruned += 1;
+                pruned += 1;
                 continue;
             }
             let key = por.key(&next);
@@ -449,7 +423,7 @@ pub(crate) fn run_sequential(
                     let outcome = ExploreOutcome::Truncated {
                         states: visited.len(),
                     };
-                    return (outcome, stats);
+                    return (outcome, pruned);
                 }
                 let mut steps = path.clone();
                 steps.push(to_step(action));
@@ -460,7 +434,7 @@ pub(crate) fn run_sequential(
     let outcome = ExploreOutcome::Exhausted {
         states: visited.len(),
     };
-    (outcome, stats)
+    (outcome, pruned)
 }
 
 #[cfg(test)]
@@ -470,6 +444,10 @@ mod tests {
     use nonfifo_ioa::spec::{check_dl1, check_pl1, Validity};
     use nonfifo_ioa::Dir;
     use nonfifo_protocols::{AlternatingBit, NaiveCycle, SequenceNumber, StabilizingDl};
+
+    fn explore(proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
+        crate::Explorer::new(*cfg).explore(proto)
+    }
 
     #[test]
     fn finds_minimal_counterexample_for_alternating_bit() {

@@ -1,7 +1,7 @@
-//! Parallel state-space exploration: the engine of [`explore`] scaled to
-//! every core, with the sequential explorer kept as its oracle.
+//! Parallel state-space exploration: the sequential oracle's search scaled
+//! to every core, driven through [`Explorer::parallel`](crate::Explorer::parallel).
 //!
-//! [`ParallelExplorer`] runs a **level-synchronized** breadth-first search
+//! [`run`] performs a **level-synchronized** breadth-first search
 //! over the composed system: all states at adversary-action depth `d` are
 //! expanded (in parallel) before any state at depth `d+1`, so the
 //! "shortest counterexample" guarantee of the sequential explorer is
@@ -34,9 +34,8 @@
 //! - **Tiered dedup.** The visited set behind the engine is a
 //!   [`VisitedSet`] tier chosen by [`VisitedSpec`] (see [`crate::visited`]):
 //!   the exact RAM tier runs 64 FNV shards on the fixed-key FNV-64 hasher
-//!   ([`nonfifo_ioa::fingerprint`]), the tiered tier spills past a byte
-//!   budget to a sorted disk run, and the probabilistic tier trades
-//!   exactness for a fixed Bloom footprint. State keys come from the shared
+//!   ([`nonfifo_ioa::fingerprint`]) and the tiered tier spills past a byte
+//!   budget to sorted disk runs; both are exact. State keys come from the shared
 //!   [`StateCodec`](crate::codec::StateCodec), which folds in the
 //!   multiset's incrementally maintained content digest, so hashing a
 //!   state never walks the pool.
@@ -82,10 +81,10 @@
 //! its schedule through the strict scheduler — which doubles as an
 //! end-to-end validation of every reported attack.
 
-use crate::codec::EncodedState;
 use crate::explore::{
     apply, build_root, enabled_actions_into, to_step, Action, ExploreConfig, ExploreOutcome,
 };
+use crate::explorer::record_run;
 use crate::por::PorCtx;
 use crate::schedule::{Schedule, ScheduleStep};
 use crate::system::System;
@@ -237,15 +236,15 @@ struct ShardMerge {
     start: usize,
 }
 
-/// Caller-owned reusable workspace for [`ParallelExplorer::explore_in`]:
-/// the visited set (any [`VisitedSpec`] tier), per-worker scratches (two
+/// The reusable workspace an [`Explorer`](crate::Explorer) owns: the
+/// visited set (any [`VisitedSpec`] tier), per-worker scratches (two
 /// scratch systems and a candidate arena each), the path arena, the packed
 /// frontier arenas of the current and the next level, and the merge
 /// buffers. Running repeated explorations through one arena keeps the
-/// steady-state expansion loop entirely off the allocator — the campaign
-/// runner and the allocation regression test both rely on this.
+/// steady-state expansion loop entirely off the allocator — the allocation
+/// regression test relies on this.
 #[derive(Debug)]
-pub struct ExploreArena {
+pub(crate) struct ExploreArena {
     visited: Box<dyn VisitedSet>,
     spec: VisitedSpec,
     workers: Vec<WorkerScratch>,
@@ -285,36 +284,24 @@ impl Default for ExploreArena {
 impl ExploreArena {
     /// Creates an empty arena on the exact in-RAM visited tier; buffers
     /// warm up over the first run.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ExploreArena::default()
-    }
-
-    /// An empty arena deduplicating through `spec`'s visited tier.
-    pub fn with_visited(spec: VisitedSpec) -> Self {
-        let mut arena = ExploreArena::default();
-        arena.install_visited(spec);
-        arena
     }
 
     /// Swaps the visited tier to `spec`. A no-op when the arena already
     /// runs that spec — the existing set (and its warmed allocations) is
     /// kept and merely cleared at the next run.
-    pub fn install_visited(&mut self, spec: VisitedSpec) {
+    pub(crate) fn install_visited(&mut self, spec: VisitedSpec) {
         if spec != self.spec {
             self.visited = spec.build();
             self.spec = spec;
         }
     }
 
-    /// The visited set of the most recent run — spill counts, resident
-    /// bytes, and the probabilistic tier's false-dedup bound are read here.
-    pub fn visited(&self) -> &dyn VisitedSet {
+    /// The visited set of the most recent run — spill counts and resident
+    /// bytes are read here.
+    pub(crate) fn visited(&self) -> &dyn VisitedSet {
         &*self.visited
-    }
-
-    /// The spec the current visited set was built from.
-    pub fn visited_spec(&self) -> VisitedSpec {
-        self.spec
     }
 
     pub(crate) fn visited_mut(&mut self) -> &mut dyn VisitedSet {
@@ -379,31 +366,14 @@ impl ExploreArena {
     }
 }
 
-/// The work-stealing breadth-first exploration engine.
-///
-/// # Example
-///
-/// ```
-/// use nonfifo_adversary::{ExploreConfig, ParallelExplorer};
-/// use nonfifo_protocols::AlternatingBit;
-///
-/// let outcome = ParallelExplorer::new(2).explore(&AlternatingBit::new(), &ExploreConfig::default());
-/// assert!(outcome.is_counterexample());
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParallelExplorer {
-    threads: usize,
-    telemetry: Option<ExploreTelemetry>,
-}
-
 /// Pre-bound metric handles for the explorer. Recording is relaxed atomics
 /// on shared cells; workers tally into their scratch and the engine adds
 /// the tallies once per level, so the shared cells see a handful of
 /// updates per level rather than one per successor. Nothing here is ever
 /// read back into the search, keeping reports byte-identical with
 /// telemetry on or off.
-#[derive(Debug, Clone)]
-struct ExploreTelemetry {
+#[derive(Debug)]
+pub(crate) struct ExploreTelemetry {
     registry: Arc<Registry>,
     trace: Option<Arc<TraceSink>>,
     /// Frontier nodes expanded (worker-side).
@@ -428,7 +398,7 @@ struct ExploreTelemetry {
 }
 
 impl ExploreTelemetry {
-    fn new(registry: Arc<Registry>, trace: Option<Arc<TraceSink>>) -> Self {
+    pub(crate) fn new(registry: Arc<Registry>, trace: Option<Arc<TraceSink>>) -> Self {
         ExploreTelemetry {
             expansions: registry.counter("explore.expansions"),
             candidates: registry.counter("explore.candidates"),
@@ -441,389 +411,302 @@ impl ExploreTelemetry {
             trace,
         }
     }
-
-    /// End-of-run derived metrics: visited-set shard occupancy (balance of
-    /// the mixed-digest shard split, for tiers with resident shards),
-    /// overall throughput, the peak packed frontier size, and the
-    /// memory-footprint gauges of the tiered visited-set work
-    /// (`explore.visited_bytes`, `explore.codec_bytes_per_state`).
-    fn finalize(&self, visited: &dyn VisitedSet, elapsed_secs: f64, peak_frontier_bytes: usize) {
-        let occupancy = self.registry.histogram("explore.shard_occupancy");
-        let mut sizes = Vec::new();
-        visited.shard_sizes(&mut sizes);
-        for size in sizes {
-            occupancy.record(size);
-        }
-        let states = visited.len();
-        if elapsed_secs > 0.0 {
-            self.registry
-                .set_value("explore.states_per_sec", states as f64 / elapsed_secs);
-        }
-        self.registry
-            .gauge("explore.peak_frontier_bytes")
-            .set(peak_frontier_bytes as u64);
-        self.registry
-            .gauge("explore.visited_bytes")
-            .set(visited.peak_memory_bytes() as u64);
-        self.registry
-            .gauge("explore.codec_bytes_per_state")
-            .set(EncodedState::BYTES as u64);
-        if visited.spills() > 0 {
-            self.registry
-                .counter("explore.visited_spills")
-                .add(visited.spills());
-        }
-        // Wall time in the values map so CI can ratio merge_serial_ns
-        // against it without parsing states_per_sec backwards.
-        self.registry
-            .set_value("explore.wall_ns", elapsed_secs * 1e9);
-        if visited.disk_runs() > 0 {
-            self.registry
-                .gauge("explore.disk_runs")
-                .set(visited.disk_runs());
-        }
-        if visited.compaction_bytes() > 0 {
-            self.registry
-                .counter("explore.compaction_bytes")
-                .add(visited.compaction_bytes());
-        }
-    }
 }
 
-impl ParallelExplorer {
-    /// Creates an explorer with `threads` workers; `0` means one per
-    /// available core.
-    pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            threads
-        };
-        ParallelExplorer {
+/// Runs the parallel engine on `threads` workers through `arena`, whose
+/// visited tier the caller has installed. The outcome is a pure function
+/// of (protocol, config) — identical for every thread count and whatever
+/// the arena's previous runs left in its buffers; only the allocation
+/// profile changes.
+pub(crate) fn run(
+    proto: &dyn DataLink,
+    cfg: &ExploreConfig,
+    threads: usize,
+    tel: Option<&ExploreTelemetry>,
+    arena: &mut ExploreArena,
+) -> ExploreOutcome {
+    let started = Instant::now();
+    arena.reset();
+    let (outcome, peak_frontier_bytes) = search(proto, cfg, threads, tel, arena);
+    if let Some(t) = tel {
+        record_run(
+            &t.registry,
+            arena.visited(),
             threads,
-            telemetry: None,
+            started.elapsed(),
+            Some(peak_frontier_bytes),
+            None,
+        );
+    }
+    outcome
+}
+
+/// The level loop of [`run`]: the outcome and the peak packed frontier
+/// size in bytes.
+fn search(
+    proto: &dyn DataLink,
+    cfg: &ExploreConfig,
+    threads: usize,
+    tel: Option<&ExploreTelemetry>,
+    arena: &mut ExploreArena,
+) -> (ExploreOutcome, usize) {
+    let root = build_root(proto, cfg, false);
+    // The sleep rule is a pure function of (state, action), so workers
+    // apply it independently with no coordination — pruning cannot
+    // depend on discovery order or thread count.
+    let por = PorCtx::new(&root, cfg);
+    let root_key = por.key(&root);
+    arena.visited.insert(root_key);
+    let mut states = 1usize;
+    if let Some(t) = tel {
+        t.states.inc();
+    }
+    arena.seed_workers(&root, threads);
+    root.pack(&mut arena.frontier.bytes);
+    arena.frontier.seal();
+    let mut peak_frontier_bytes = 0usize;
+
+    for depth in 0..cfg.max_depth {
+        if arena.frontier.is_empty() {
+            break;
         }
-    }
-
-    /// Attaches a metrics registry (and optionally a trace sink) that every
-    /// subsequent [`explore`](ParallelExplorer::explore) call records into:
-    /// states/candidates/dedup counters, per-depth frontier widths, shard
-    /// occupancy, throughput, peak frontier bytes, and per-level spans.
-    /// Telemetry never feeds back into the search — outcomes stay
-    /// byte-identical.
-    pub fn with_telemetry(
-        mut self,
-        registry: Arc<Registry>,
-        trace: Option<Arc<TraceSink>>,
-    ) -> Self {
-        self.telemetry = Some(ExploreTelemetry::new(registry, trace));
-        self
-    }
-
-    /// The worker count this explorer will use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Explores `proto` within `cfg`'s scope. Same contract as
-    /// [`explore`](crate::explore()): shortest counterexample, certificate,
-    /// or truncation — and the result is identical for every thread count.
-    pub fn explore(&self, proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
-        self.explore_in(proto, cfg, &mut ExploreArena::new())
-    }
-
-    /// [`explore`](ParallelExplorer::explore) through a caller-owned
-    /// [`ExploreArena`], reusing its buffers. The outcome is identical to a
-    /// fresh-arena run; only the allocation profile changes.
-    pub fn explore_in(
-        &self,
-        proto: &dyn DataLink,
-        cfg: &ExploreConfig,
-        arena: &mut ExploreArena,
-    ) -> ExploreOutcome {
-        let started = Instant::now();
-        arena.reset();
-        let (outcome, peak_frontier_bytes) = self.run(proto, cfg, arena);
-        if let Some(tel) = &self.telemetry {
-            tel.finalize(
-                arena.visited(),
-                started.elapsed().as_secs_f64(),
-                peak_frontier_bytes,
-            );
-            tel.registry
-                .gauge("explore.threads")
-                .set(self.threads as u64);
-        }
-        outcome
-    }
-
-    fn run(
-        &self,
-        proto: &dyn DataLink,
-        cfg: &ExploreConfig,
-        arena: &mut ExploreArena,
-    ) -> (ExploreOutcome, usize) {
-        let tel = self.telemetry.as_ref();
-        let root = build_root(proto, cfg, false);
-        // The sleep rule is a pure function of (state, action), so workers
-        // apply it independently with no coordination — pruning cannot
-        // depend on discovery order or thread count.
-        let por = PorCtx::new(&root, cfg);
-        let root_key = por.key(&root);
-        arena.visited.insert(root_key);
-        let mut states = 1usize;
+        let _level_span = tel.and_then(|t| t.trace.as_deref()).map(|trace| {
+            trace.span_with_args(
+                "explore",
+                &format!("level {depth}"),
+                vec![
+                    ("depth".to_string(), depth as u64),
+                    ("frontier".to_string(), arena.frontier.len() as u64),
+                ],
+            )
+        });
         if let Some(t) = tel {
-            t.states.inc();
+            t.frontier_width.record(arena.frontier.len() as u64);
         }
-        arena.seed_workers(&root, self.threads);
-        root.pack(&mut arena.frontier.bytes);
-        arena.frontier.seal();
-        let mut peak_frontier_bytes = 0usize;
-
-        for depth in 0..cfg.max_depth {
-            if arena.frontier.is_empty() {
-                break;
-            }
-            let _level_span = tel.and_then(|t| t.trace.as_deref()).map(|trace| {
-                trace.span_with_args(
-                    "explore",
-                    &format!("level {depth}"),
-                    vec![
-                        ("depth".to_string(), depth as u64),
-                        ("frontier".to_string(), arena.frontier.len() as u64),
-                    ],
-                )
-            });
-            if let Some(t) = tel {
-                t.frontier_width.record(arena.frontier.len() as u64);
-            }
-            peak_frontier_bytes = peak_frontier_bytes.max(arena.frontier.resident_bytes());
-            self.expand_level(cfg, por, arena);
-            if let Some(t) = tel {
-                for w in &arena.workers {
-                    t.expansions.add(w.tally.expansions);
-                    t.candidates.add(w.tally.candidates);
-                    t.dedup_hits.add(w.tally.dedup_hits);
-                    t.pruned.add(w.tally.pruned);
-                }
-            }
-
-            // Violations: the lexicographically smallest path wins; within
-            // one level that is the minimal (parent rank, step) pair.
-            let best_violation = arena
-                .workers
-                .iter()
-                .flat_map(|w| w.violations.iter().copied())
-                .min();
-            if let Some(rec) = best_violation {
-                let steps = arena.reconstruct(depth, rec);
-                return (materialize(proto, cfg, steps), peak_frontier_bytes);
-            }
-
-            // Deterministic sharded merge: every shard is a disjoint key
-            // space, so each is sorted by (key, parent rank, step),
-            // deduplicated, and disk-probed independently — on worker
-            // threads — and the shard-local decisions concatenated
-            // shard-major are exactly the decisions the old global sort
-            // made. Only the transpose, the admit pass, and rank
-            // assignment remain serial (timed as `explore.merge_serial_ns`
-            // when telemetry is attached).
-            let ExploreArena {
-                visited,
-                workers,
-                levels,
-                frontier,
-                next,
-                bins_in,
-                merges,
-                heap,
-                ..
-            } = &mut *arena;
-
-            let serial_started = tel.map(|_| Instant::now());
-            // Transpose worker-major bins into shard-major groups with
-            // header-only Vec swaps; `bins_in[s * stride + w]` then holds
-            // worker w's candidates for shard s.
-            let stride = workers.len();
-            while bins_in.len() < SHARDS * stride {
-                bins_in.push(Vec::new());
-            }
-            let mut total = 0usize;
-            for (w, scratch) in workers.iter_mut().enumerate() {
-                for (s, bin) in scratch.candidates.iter_mut().enumerate() {
-                    if !bin.is_empty() {
-                        total += bin.len();
-                        std::mem::swap(&mut bins_in[s * stride + w], bin);
-                    }
-                }
-            }
-            let mut serial_ns = serial_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-
-            // Per-shard sort + same-level dedup + batched spilled-run
-            // probe + winner compaction (phase A), fanned out over the
-            // worker threads. Tiny levels stay inline: a scope spawn costs
-            // more than sorting a few dozen candidates.
-            let frozen: &dyn VisitedSet = &**visited;
-            let merge_threads = self.threads.min(SHARDS);
-            if merge_threads == 1 || total < CHUNK * SHARDS {
-                for (s, m) in merges.iter_mut().enumerate() {
-                    merge_shard(m, &mut bins_in[s * stride..(s + 1) * stride]);
-                    frozen.probe_spilled_sorted(&m.keys, &mut m.hits);
-                    compact_winners(m);
-                }
-            } else {
-                let per = SHARDS.div_ceil(merge_threads);
-                std::thread::scope(|scope| {
-                    for (ms, bs) in merges
-                        .chunks_mut(per)
-                        .zip(bins_in[..SHARDS * stride].chunks_mut(per * stride))
-                    {
-                        scope.spawn(move || {
-                            for (j, m) in ms.iter_mut().enumerate() {
-                                merge_shard(m, &mut bs[j * stride..(j + 1) * stride]);
-                                frozen.probe_spilled_sorted(&m.keys, &mut m.hits);
-                                compact_winners(m);
-                            }
-                        });
-                    }
-                });
-            }
-
-            let serial_resumed = tel.map(|_| Instant::now());
-            // Admit pass (serial): shard-major over the compacted winners.
-            // Each winner key was proven absent by the resident probe at
-            // expansion time plus the spilled probe above, so exact tiers
-            // take the probe-free insert; the probabilistic tier re-probes
-            // its filter and may still reject (a same-level false dedup),
-            // which stays on the rare path.
-            let mut level_dedup = 0u64;
-            let mut level_states = 0u64;
-            for m in merges.iter_mut() {
-                level_dedup += m.start as u64;
-                let mut i = m.start;
-                while i < m.bin.len() {
-                    if visited.insert_new(m.bin[i].key) {
-                        states += 1;
-                        level_states += 1;
-                        if states >= cfg.max_states {
-                            if let Some(t) = tel {
-                                t.states.add(level_states);
-                                t.dedup_hits.add(level_dedup);
-                            }
-                            return (ExploreOutcome::Truncated { states }, peak_frontier_bytes);
-                        }
-                        i += 1;
-                    } else {
-                        level_dedup += 1;
-                        m.bin.remove(i);
-                    }
-                }
-            }
-            if let Some(t) = tel {
-                t.states.add(level_states);
-                t.dedup_hits.add(level_dedup);
-            }
-
-            // Rank assignment (serial): each shard's winners sit at its
-            // bin tail in descending (parent rank, step) order, so a
-            // 64-way min-heap over the tails emits the level in global
-            // path order with O(1) by-value pops — each node's index in
-            // the next frontier and the level's record arena *is* its path
-            // rank, the invariant that lets the merge compare two-word
-            // records instead of whole paths. Each winner's packed bytes
-            // move from its worker's candidate arena to the next level's.
-            while levels.len() <= depth + 1 {
-                levels.push(Vec::new());
-            }
-            let level = &mut levels[depth + 1];
-            next.clear();
-            heap.clear();
-            for (s, m) in merges.iter().enumerate() {
-                if m.bin.len() > m.start {
-                    heap_push(heap, (m.bin[m.bin.len() - 1].rec, s));
-                }
-            }
-            while let Some((_, s)) = heap_pop(heap) {
-                let m = &mut merges[s];
-                let c = m.bin.pop().expect("heap tracks non-empty tails");
-                level.push(c.rec);
-                let out = &workers[c.worker as usize].out;
-                next.push(&out[c.off as usize..][..c.len as usize]);
-                if m.bin.len() > m.start {
-                    heap_push(heap, (m.bin[m.bin.len() - 1].rec, s));
-                }
-            }
-            // What is left in the bins are the level's duplicates.
-            for m in merges.iter_mut() {
-                m.bin.clear();
-            }
-            std::mem::swap(frontier, next);
-            if let (Some(t), Some(resumed)) = (tel, serial_resumed) {
-                serial_ns += resumed.elapsed().as_nanos() as u64;
-                t.merge_serial.add(serial_ns);
+        peak_frontier_bytes = peak_frontier_bytes.max(arena.frontier.resident_bytes());
+        expand_level(cfg, por, threads, arena);
+        if let Some(t) = tel {
+            for w in &arena.workers {
+                t.expansions.add(w.tally.expansions);
+                t.candidates.add(w.tally.candidates);
+                t.dedup_hits.add(w.tally.dedup_hits);
+                t.pruned.add(w.tally.pruned);
             }
         }
-        (ExploreOutcome::Exhausted { states }, peak_frontier_bytes)
-    }
 
-    /// Expands every frontier node, leaving each worker's discoveries in
-    /// its scratch buffers. Work is claimed in [`CHUNK`]-sized slices from
-    /// an atomic cursor; a frontier too small to fill one chunk per worker
-    /// runs on the calling thread without spawning a scope.
-    fn expand_level(&self, cfg: &ExploreConfig, por: PorCtx, arena: &mut ExploreArena) {
+        // Violations: the lexicographically smallest path wins; within
+        // one level that is the minimal (parent rank, step) pair.
+        let best_violation = arena
+            .workers
+            .iter()
+            .flat_map(|w| w.violations.iter().copied())
+            .min();
+        if let Some(rec) = best_violation {
+            let steps = arena.reconstruct(depth, rec);
+            return (materialize(proto, cfg, steps), peak_frontier_bytes);
+        }
+
+        // Deterministic sharded merge: every shard is a disjoint key
+        // space, so each is sorted by (key, parent rank, step),
+        // deduplicated, and disk-probed independently — on worker
+        // threads — and the shard-local decisions concatenated
+        // shard-major are exactly the decisions the old global sort
+        // made. Only the transpose, the admit pass, and rank
+        // assignment remain serial (timed as `explore.merge_serial_ns`
+        // when telemetry is attached).
         let ExploreArena {
             visited,
             workers,
+            levels,
             frontier,
+            next,
+            bins_in,
+            merges,
+            heap,
             ..
-        } = arena;
-        for w in workers.iter_mut() {
-            w.out.clear();
-            w.tally = Tally::default();
+        } = &mut *arena;
+
+        let serial_started = tel.map(|_| Instant::now());
+        // Transpose worker-major bins into shard-major groups with
+        // header-only Vec swaps; `bins_in[s * stride + w]` then holds
+        // worker w's candidates for shard s.
+        let stride = workers.len();
+        while bins_in.len() < SHARDS * stride {
+            bins_in.push(Vec::new());
         }
-        // Frozen for the level: workers only probe membership, so a shared
-        // borrow of the tier is all they get (the trait requires `Sync`).
-        let visited: &dyn VisitedSet = &**visited;
-        let frontier = &*frontier;
-        let nworkers = self.threads.min(frontier.len().div_ceil(CHUNK)).max(1);
-        if nworkers == 1 {
-            let scratch = &mut workers[0];
-            for rank in 0..frontier.len() {
-                expand_node(
-                    frontier.record(rank),
-                    rank as u32,
-                    0,
-                    visited,
-                    cfg,
-                    por,
-                    scratch,
-                );
+        let mut total = 0usize;
+        for (w, scratch) in workers.iter_mut().enumerate() {
+            for (s, bin) in scratch.candidates.iter_mut().enumerate() {
+                if !bin.is_empty() {
+                    total += bin.len();
+                    std::mem::swap(&mut bins_in[s * stride + w], bin);
+                }
             }
-            return;
         }
-        let cursor = ChunkCursor::new(frontier.len(), CHUNK);
-        std::thread::scope(|scope| {
-            for (worker, scratch) in workers[..nworkers].iter_mut().enumerate() {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    while let Some(range) = cursor.claim() {
-                        for rank in range {
-                            let record = frontier.record(rank);
-                            expand_node(
-                                record,
-                                rank as u32,
-                                worker as u32,
-                                visited,
-                                cfg,
-                                por,
-                                scratch,
-                            );
+        let mut serial_ns = serial_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
+
+        // Per-shard sort + same-level dedup + batched spilled-run
+        // probe + winner compaction (phase A), fanned out over the
+        // worker threads. Tiny levels stay inline: a scope spawn costs
+        // more than sorting a few dozen candidates.
+        let frozen: &dyn VisitedSet = &**visited;
+        let merge_threads = threads.min(SHARDS);
+        if merge_threads == 1 || total < CHUNK * SHARDS {
+            for (s, m) in merges.iter_mut().enumerate() {
+                merge_shard(m, &mut bins_in[s * stride..(s + 1) * stride]);
+                frozen.probe_spilled_sorted(&m.keys, &mut m.hits);
+                compact_winners(m);
+            }
+        } else {
+            let per = SHARDS.div_ceil(merge_threads);
+            std::thread::scope(|scope| {
+                for (ms, bs) in merges
+                    .chunks_mut(per)
+                    .zip(bins_in[..SHARDS * stride].chunks_mut(per * stride))
+                {
+                    scope.spawn(move || {
+                        for (j, m) in ms.iter_mut().enumerate() {
+                            merge_shard(m, &mut bs[j * stride..(j + 1) * stride]);
+                            frozen.probe_spilled_sorted(&m.keys, &mut m.hits);
+                            compact_winners(m);
                         }
+                    });
+                }
+            });
+        }
+
+        let serial_resumed = tel.map(|_| Instant::now());
+        // Admit pass (serial): shard-major over the compacted winners.
+        // Each winner key was proven absent by the resident probe at
+        // expansion time plus the spilled probe above, so the tier
+        // takes the probe-free insert.
+        let mut level_dedup = 0u64;
+        let mut level_states = 0u64;
+        for m in merges.iter_mut() {
+            level_dedup += m.start as u64;
+            let mut i = m.start;
+            while i < m.bin.len() {
+                if visited.insert_new(m.bin[i].key) {
+                    states += 1;
+                    level_states += 1;
+                    if states >= cfg.max_states {
+                        if let Some(t) = tel {
+                            t.states.add(level_states);
+                            t.dedup_hits.add(level_dedup);
+                        }
+                        return (ExploreOutcome::Truncated { states }, peak_frontier_bytes);
                     }
-                });
+                    i += 1;
+                } else {
+                    level_dedup += 1;
+                    m.bin.remove(i);
+                }
             }
-        });
+        }
+        if let Some(t) = tel {
+            t.states.add(level_states);
+            t.dedup_hits.add(level_dedup);
+        }
+
+        // Rank assignment (serial): each shard's winners sit at its
+        // bin tail in descending (parent rank, step) order, so a
+        // 64-way min-heap over the tails emits the level in global
+        // path order with O(1) by-value pops — each node's index in
+        // the next frontier and the level's record arena *is* its path
+        // rank, the invariant that lets the merge compare two-word
+        // records instead of whole paths. Each winner's packed bytes
+        // move from its worker's candidate arena to the next level's.
+        while levels.len() <= depth + 1 {
+            levels.push(Vec::new());
+        }
+        let level = &mut levels[depth + 1];
+        next.clear();
+        heap.clear();
+        for (s, m) in merges.iter().enumerate() {
+            if m.bin.len() > m.start {
+                heap_push(heap, (m.bin[m.bin.len() - 1].rec, s));
+            }
+        }
+        while let Some((_, s)) = heap_pop(heap) {
+            let m = &mut merges[s];
+            let c = m.bin.pop().expect("heap tracks non-empty tails");
+            level.push(c.rec);
+            let out = &workers[c.worker as usize].out;
+            next.push(&out[c.off as usize..][..c.len as usize]);
+            if m.bin.len() > m.start {
+                heap_push(heap, (m.bin[m.bin.len() - 1].rec, s));
+            }
+        }
+        // What is left in the bins are the level's duplicates.
+        for m in merges.iter_mut() {
+            m.bin.clear();
+        }
+        std::mem::swap(frontier, next);
+        if let (Some(t), Some(resumed)) = (tel, serial_resumed) {
+            serial_ns += resumed.elapsed().as_nanos() as u64;
+            t.merge_serial.add(serial_ns);
+        }
     }
+    (ExploreOutcome::Exhausted { states }, peak_frontier_bytes)
+}
+
+/// Expands every frontier node, leaving each worker's discoveries in
+/// its scratch buffers. Work is claimed in [`CHUNK`]-sized slices from
+/// an atomic cursor; a frontier too small to fill one chunk per worker
+/// runs on the calling thread without spawning a scope.
+fn expand_level(cfg: &ExploreConfig, por: PorCtx, threads: usize, arena: &mut ExploreArena) {
+    let ExploreArena {
+        visited,
+        workers,
+        frontier,
+        ..
+    } = arena;
+    for w in workers.iter_mut() {
+        w.out.clear();
+        w.tally = Tally::default();
+    }
+    // Frozen for the level: workers only probe membership, so a shared
+    // borrow of the tier is all they get (the trait requires `Sync`).
+    let visited: &dyn VisitedSet = &**visited;
+    let frontier = &*frontier;
+    let nworkers = threads.min(frontier.len().div_ceil(CHUNK)).max(1);
+    if nworkers == 1 {
+        let scratch = &mut workers[0];
+        for rank in 0..frontier.len() {
+            expand_node(
+                frontier.record(rank),
+                rank as u32,
+                0,
+                visited,
+                cfg,
+                por,
+                scratch,
+            );
+        }
+        return;
+    }
+    let cursor = ChunkCursor::new(frontier.len(), CHUNK);
+    std::thread::scope(|scope| {
+        for (worker, scratch) in workers[..nworkers].iter_mut().enumerate() {
+            let cursor = &cursor;
+            scope.spawn(move || {
+                while let Some(range) = cursor.claim() {
+                    for rank in range {
+                        let record = frontier.record(rank);
+                        expand_node(
+                            record,
+                            rank as u32,
+                            worker as u32,
+                            visited,
+                            cfg,
+                            por,
+                            scratch,
+                        );
+                    }
+                }
+            });
+        }
+    });
 }
 
 /// Expands the frontier node packed in `record`, at path rank `rank`, on
@@ -1012,24 +895,29 @@ fn materialize(
     }
 }
 
-/// Convenience wrapper: [`ParallelExplorer::new(threads)`] then
-/// [`explore`](ParallelExplorer::explore).
-pub fn explore_parallel(
-    proto: &dyn DataLink,
-    cfg: &ExploreConfig,
-    threads: usize,
-) -> ExploreOutcome {
-    ParallelExplorer::new(threads).explore(proto, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::state_key;
-    use crate::explore::{explore, Discipline};
+    use crate::explore::Discipline;
     use crate::visited::FnvSet;
-    use crate::visited::SHARDS;
-    use nonfifo_protocols::{AlternatingBit, GoBackN, NaiveCycle, SequenceNumber};
+    use crate::Explorer;
+    use nonfifo_protocols::{
+        AlternatingBit, GoBackN, NaiveCycle, Outnumber, SequenceNumber, SlidingWindow,
+    };
+    use nonfifo_rng::StdRng;
+
+    fn explore(proto: &dyn DataLink, cfg: &ExploreConfig) -> ExploreOutcome {
+        Explorer::new(*cfg).explore(proto)
+    }
+
+    fn explore_parallel(
+        proto: &dyn DataLink,
+        cfg: &ExploreConfig,
+        threads: usize,
+    ) -> ExploreOutcome {
+        Explorer::new(*cfg).parallel(threads).explore(proto)
+    }
 
     fn outcome_kind(o: &ExploreOutcome) -> &'static str {
         match o {
@@ -1190,9 +1078,10 @@ mod tests {
         // At the default scope a packed frontier state costs well under
         // 256 bytes, offsets included; a boxed `System` costs kilobytes.
         let registry = Arc::new(Registry::new());
-        ParallelExplorer::new(2)
+        Explorer::new(ExploreConfig::default())
+            .parallel(2)
             .with_telemetry(Arc::clone(&registry), None)
-            .explore(&SequenceNumber::new(), &ExploreConfig::default());
+            .explore(&SequenceNumber::new());
         let snap = registry.snapshot();
         let peak = snap.gauges["explore.peak_frontier_bytes"].value;
         let widest = snap.histograms["explore.frontier_width"].max;
@@ -1202,29 +1091,80 @@ mod tests {
         );
     }
 
-    #[test]
-    fn zero_threads_means_available_parallelism() {
-        assert!(ParallelExplorer::new(0).threads() >= 1);
-        assert_eq!(ParallelExplorer::new(3).threads(), 3);
+    /// Seeded cases per property: `PROPTEST_CASES` if set, else 16.
+    fn cases() -> u64 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(16)
+    }
+
+    fn random_protocol(rng: &mut StdRng) -> Box<dyn DataLink> {
+        match rng.gen_range(0..5) {
+            0 => Box::new(SequenceNumber::new()),
+            1 => Box::new(AlternatingBit::new()),
+            2 => Box::new(GoBackN::new(1 + rng.gen_range(0..2) as u32)),
+            3 => Box::new(SlidingWindow::new(1 + rng.gen_range(0..2) as u32)),
+            _ => Box::new(Outnumber::new(3 + rng.gen_range(0..2) as u32)),
+        }
+    }
+
+    /// A small random scope: any discipline, a third of them from a
+    /// corrupted start, half of them reduced.
+    fn random_scope(rng: &mut StdRng) -> ExploreConfig {
+        ExploreConfig {
+            max_messages: 1 + rng.gen_range(0..3) as u64,
+            max_depth: 4 + rng.gen_range(0..6),
+            max_pool: 2 + rng.gen_range(0..3),
+            max_states: 2_000_000,
+            discipline: match rng.gen_range(0..3) {
+                0 => Discipline::NonFifo,
+                1 => Discipline::BoundedReorder(rng.gen_range(0..4) as u64),
+                _ => Discipline::LossyFifo,
+            },
+            corrupt_start: (rng.gen_range(0..3) == 0).then(|| rng.next_u64()),
+            por: rng.gen_range(0..2) == 1,
+        }
     }
 
     #[test]
     fn arena_reuse_preserves_reports() {
-        // Back-to-back explorations through one arena — including a switch
-        // of protocol, which exercises the assign_from type-mismatch
-        // fallback on the workers' scratch systems — match fresh-arena
-        // runs exactly.
-        let explorer = ParallelExplorer::new(2);
-        let cfg = ExploreConfig::default();
+        // Back-to-back explorations through ONE arena match fresh-arena
+        // runs exactly: a fixed protocol switch (the assign_from
+        // type-mismatch fallback on the workers' scratch systems), then
+        // seeded rounds varying protocol, scope and thread count, so every
+        // run inherits the previous run's recycled buffers.
         let mut arena = ExploreArena::new();
+        let mut check = |proto: &dyn DataLink, cfg: &ExploreConfig, threads: usize, case: &str| {
+            let warm = run(proto, cfg, threads, None, &mut arena).report();
+            let fresh = run(proto, cfg, threads, None, &mut ExploreArena::new()).report();
+            assert_eq!(
+                warm,
+                fresh,
+                "{case}: warm-arena report diverges for {}",
+                proto.name()
+            );
+        };
         for _ in 0..2 {
             for proto in [
                 &AlternatingBit::new() as &dyn DataLink,
-                &SequenceNumber::new() as &dyn DataLink,
+                &SequenceNumber::new(),
             ] {
-                let warm = explorer.explore_in(proto, &cfg, &mut arena).report();
-                let fresh = explorer.explore(proto, &cfg).report();
-                assert_eq!(warm, fresh, "{}", proto.name());
+                check(proto, &ExploreConfig::default(), 2, "fixed scope");
+            }
+        }
+        for seed in 0..cases() {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for round in 0..3 {
+                let proto = random_protocol(&mut rng);
+                let cfg = random_scope(&mut rng);
+                let threads = 1 + rng.gen_range(0..3);
+                check(
+                    proto.as_ref(),
+                    &cfg,
+                    threads,
+                    &format!("seed {seed} round {round}"),
+                );
             }
         }
     }
@@ -1333,15 +1273,14 @@ mod tests {
     #[test]
     fn telemetry_observes_without_perturbing() {
         let cfg = ExploreConfig::default();
-        let plain = ParallelExplorer::new(4)
-            .explore(&SequenceNumber::new(), &cfg)
-            .report();
+        let plain = explore_parallel(&SequenceNumber::new(), &cfg, 4).report();
 
         let registry = Arc::new(Registry::new());
         let trace = Arc::new(TraceSink::new());
-        let instrumented = ParallelExplorer::new(4)
+        let instrumented = Explorer::new(cfg)
+            .parallel(4)
             .with_telemetry(Arc::clone(&registry), Some(Arc::clone(&trace)))
-            .explore(&SequenceNumber::new(), &cfg)
+            .explore(&SequenceNumber::new())
             .report();
         assert_eq!(plain, instrumented, "telemetry must not change the outcome");
 

@@ -1,20 +1,11 @@
-//! The unified exploration facade.
+//! The exploration facade: the one public way to run an exhaustive search.
 //!
-//! Historically callers picked an engine by picking an entry point —
-//! [`explore_with_stats`](crate::explore_with_stats) for the sequential
-//! oracle, [`ParallelExplorer`] for the level-synchronized engine — and
-//! each entry point hard-wired its own visited-set construction. The
-//! [`Explorer`] facade owns all three decisions in one place: the
-//! [`ExploreConfig`] scope, the engine choice, and the [`VisitedSpec`]
-//! tier (plus the arena the tier lives in), with telemetry attached once
-//! and flowing to whichever engine runs.
-//!
-//! The historical entry points remain as thin delegating wrappers —
-//! `explore_with_stats` builds a default facade, and
-//! [`ParallelExplorer::explore`] remains thin over
-//! [`ParallelExplorer::explore_in`], the engine the facade's parallel path
-//! drives — so every existing pin and differential harness keeps its
-//! meaning.
+//! [`Explorer`] owns every decision a run depends on: the
+//! [`ExploreConfig`] scope, the engine (the sequential oracle or the
+//! level-synchronized parallel engine), the [`VisitedSpec`] tier and the
+//! arena it lives in, and the telemetry sinks. Both engines record their
+//! end-of-run metrics through one function, [`record_run`], so a metrics
+//! export carries the same names whichever engine ran.
 //!
 //! ```
 //! use nonfifo_adversary::{ExploreConfig, Explorer, VisitedSpec};
@@ -30,22 +21,21 @@
 //! ```
 
 use crate::codec::EncodedState;
-use crate::explore::{run_sequential, ExploreConfig, ExploreOutcome, ExploreStats};
-use crate::explore_par::{ExploreArena, ParallelExplorer};
+use crate::explore::{run_sequential, ExploreConfig, ExploreOutcome};
+use crate::explore_par::{self, ExploreArena, ExploreTelemetry};
 use crate::visited::{VisitedSet, VisitedSpec};
 use nonfifo_protocols::DataLink;
 use nonfifo_telemetry::{Registry, TraceSink};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One front door for exhaustive exploration: owns the scope config, the
 /// engine choice (sequential oracle or level-synchronized parallel), the
-/// visited-tier spec, the reusable [`ExploreArena`], and the telemetry
-/// sinks. Build it fluent-style, then call
-/// [`explore`](Explorer::explore) any number of times — runs reuse the
-/// arena's warmed buffers, and after each run the visited set stays
-/// readable through [`visited_set`](Explorer::visited_set) for spill and
-/// false-dedup introspection.
+/// visited-tier spec, the reusable arena, and the telemetry sinks. Build
+/// it fluent-style, then call [`explore`](Explorer::explore) any number of
+/// times — runs reuse the arena's warmed buffers, and after each run the
+/// visited set stays readable through
+/// [`visited_set`](Explorer::visited_set) for spill introspection.
 #[derive(Debug)]
 pub struct Explorer {
     cfg: ExploreConfig,
@@ -56,7 +46,6 @@ pub struct Explorer {
     registry: Option<Arc<Registry>>,
     trace: Option<Arc<TraceSink>>,
     arena: ExploreArena,
-    last_stats: ExploreStats,
 }
 
 impl Explorer {
@@ -70,27 +59,23 @@ impl Explorer {
             registry: None,
             trace: None,
             arena: ExploreArena::new(),
-            last_stats: ExploreStats::default(),
         }
     }
 
     /// Switches to the parallel engine on `threads` workers (`0` = one per
     /// available core, resolved immediately).
     pub fn parallel(mut self, threads: usize) -> Self {
-        self.threads = Some(ParallelExplorer::new(threads).threads());
+        let threads = if threads == 0 {
+            std::thread::available_parallelism().map_or(1, usize::from)
+        } else {
+            threads
+        };
+        self.threads = Some(threads);
         self
     }
 
-    /// Switches (back) to the sequential oracle engine.
-    pub fn sequential(mut self) -> Self {
-        self.threads = None;
-        self
-    }
-
-    /// Selects the visited tier runs deduplicate through. Exact tiers
-    /// ([`VisitedSpec::is_exact`]) produce reports byte-identical to the
-    /// default at any budget; the probabilistic tier's certificates hold
-    /// modulo [`VisitedSet::false_dedup_bound`].
+    /// Selects the visited tier runs deduplicate through. Every tier is
+    /// exact, so reports are byte-identical to the default at any budget.
     pub fn visited(mut self, spec: VisitedSpec) -> Self {
         self.spec = spec;
         self
@@ -110,133 +95,132 @@ impl Explorer {
         self
     }
 
-    /// The scope this facade explores.
-    pub fn config(&self) -> &ExploreConfig {
-        &self.cfg
-    }
-
     /// Resolved worker threads of the parallel engine, or `None` for the
     /// sequential oracle.
     pub fn threads(&self) -> Option<usize> {
         self.threads
     }
 
-    /// The visited-tier spec runs are built on.
-    pub fn visited_spec(&self) -> VisitedSpec {
-        self.spec
-    }
-
     /// The visited set of the most recent run: spill count, disk bytes,
-    /// peak resident bytes, and — on the probabilistic tier — the
-    /// false-dedup bound the certificate must be annotated with.
+    /// peak resident bytes.
     pub fn visited_set(&self) -> &dyn VisitedSet {
         self.arena.visited()
     }
 
-    /// Side statistics of the most recent run. The parallel engine reports
-    /// its pruning through telemetry counters instead, so this is
-    /// meaningful after sequential runs only.
-    pub fn last_stats(&self) -> ExploreStats {
-        self.last_stats
-    }
-
-    /// Explores `proto` within the configured scope. Same outcome contract
-    /// as [`explore`](crate::explore()): shortest counterexample,
-    /// certificate, or truncation — deterministic in (protocol, config,
-    /// spec), whatever the engine or thread count.
+    /// Explores `proto` within the configured scope: a shortest
+    /// counterexample, a certificate, or a truncation — deterministic in
+    /// (protocol, config), whatever the engine, thread count or tier.
     pub fn explore(&mut self, proto: &dyn DataLink) -> ExploreOutcome {
-        self.explore_with_stats(proto).0
-    }
-
-    /// [`explore`](Explorer::explore), also returning the run's
-    /// [`ExploreStats`].
-    pub fn explore_with_stats(&mut self, proto: &dyn DataLink) -> (ExploreOutcome, ExploreStats) {
         self.arena.install_visited(self.spec);
-        self.last_stats = ExploreStats::default();
-        let outcome = match self.threads {
-            Some(threads) => {
-                let mut engine = ParallelExplorer::new(threads);
-                if let Some(registry) = &self.registry {
-                    engine = engine.with_telemetry(Arc::clone(registry), self.trace.clone());
-                }
-                engine.explore_in(proto, &self.cfg, &mut self.arena)
+        if let Some(threads) = self.threads {
+            let telemetry = self
+                .registry
+                .as_ref()
+                .map(|registry| ExploreTelemetry::new(Arc::clone(registry), self.trace.clone()));
+            return explore_par::run(
+                proto,
+                &self.cfg,
+                threads,
+                telemetry.as_ref(),
+                &mut self.arena,
+            );
+        }
+        let started = Instant::now();
+        self.arena.visited_mut().clear();
+        let (outcome, pruned) = run_sequential(proto, &self.cfg, self.arena.visited_mut());
+        if let Some(registry) = &self.registry {
+            // The oracle's loop is uninstrumented (it is the reference
+            // implementation); its metrics are recorded after the fact.
+            if let ExploreOutcome::Exhausted { states } | ExploreOutcome::Truncated { states } =
+                &outcome
+            {
+                registry.counter("explore.states").add(*states as u64);
             }
-            None => {
-                let started = Instant::now();
-                self.arena.visited_mut().clear();
-                let (outcome, stats) = run_sequential(proto, &self.cfg, self.arena.visited_mut());
-                self.last_stats = stats;
-                if let Some(registry) = &self.registry {
-                    // The sequential oracle is uninstrumented (it is the
-                    // reference implementation); record the coarse counters
-                    // after the fact so metrics are meaningful on both
-                    // engines.
-                    registry.counter("explore.pruned_states").add(stats.pruned);
-                    if let ExploreOutcome::Exhausted { states }
-                    | ExploreOutcome::Truncated { states } = &outcome
-                    {
-                        registry.counter("explore.states").add(*states as u64);
-                        let secs = started.elapsed().as_secs_f64();
-                        if secs > 0.0 {
-                            registry.set_value("explore.states_per_sec", *states as f64 / secs);
-                        }
-                    }
-                    let visited = self.arena.visited();
-                    registry
-                        .gauge("explore.visited_bytes")
-                        .set(visited.peak_memory_bytes() as u64);
-                    registry
-                        .gauge("explore.codec_bytes_per_state")
-                        .set(EncodedState::BYTES as u64);
-                    if visited.spills() > 0 {
-                        registry
-                            .counter("explore.visited_spills")
-                            .add(visited.spills());
-                    }
-                    if visited.disk_runs() > 0 {
-                        registry.gauge("explore.disk_runs").set(visited.disk_runs());
-                    }
-                    if visited.compaction_bytes() > 0 {
-                        registry
-                            .counter("explore.compaction_bytes")
-                            .add(visited.compaction_bytes());
-                    }
-                }
-                outcome
-            }
-        };
-        (outcome, self.last_stats)
+            record_run(
+                registry,
+                self.arena.visited(),
+                1,
+                started.elapsed(),
+                None,
+                Some(pruned),
+            );
+        }
+        outcome
+    }
+}
+
+/// Records a finished run's end-of-run metrics — the one writer both
+/// engines share, so their exports carry the same names: throughput and
+/// wall time, the thread count (1 for the sequential oracle), the visited
+/// tier's footprint and shard balance, its spill activity when there was
+/// any, and the engine-specific extras — the peak packed frontier for the
+/// parallel engine, the pruned-edge total for the oracle (the parallel
+/// engine adds its pruning per level instead).
+pub(crate) fn record_run(
+    registry: &Registry,
+    visited: &dyn VisitedSet,
+    threads: usize,
+    elapsed: Duration,
+    peak_frontier_bytes: Option<usize>,
+    pruned: Option<u64>,
+) {
+    let secs = elapsed.as_secs_f64();
+    if secs > 0.0 {
+        registry.set_value("explore.states_per_sec", visited.len() as f64 / secs);
+    }
+    // Wall time in the values map so CI can ratio merge_serial_ns against
+    // it without parsing states_per_sec backwards.
+    registry.set_value("explore.wall_ns", secs * 1e9);
+    registry.gauge("explore.threads").set(threads as u64);
+    registry
+        .gauge("explore.visited_bytes")
+        .set(visited.peak_memory_bytes() as u64);
+    registry
+        .gauge("explore.codec_bytes_per_state")
+        .set(EncodedState::BYTES as u64);
+    // Balance of the mixed-digest shard split, for tiers with resident
+    // shards.
+    let occupancy = registry.histogram("explore.shard_occupancy");
+    let mut sizes = Vec::new();
+    visited.shard_sizes(&mut sizes);
+    for size in sizes {
+        occupancy.record(size);
+    }
+    if let Some(bytes) = peak_frontier_bytes {
+        registry
+            .gauge("explore.peak_frontier_bytes")
+            .set(bytes as u64);
+    }
+    if visited.spills() > 0 {
+        registry
+            .counter("explore.visited_spills")
+            .add(visited.spills());
+    }
+    if visited.disk_runs() > 0 {
+        registry.gauge("explore.disk_runs").set(visited.disk_runs());
+    }
+    if visited.compaction_bytes() > 0 {
+        registry
+            .counter("explore.compaction_bytes")
+            .add(visited.compaction_bytes());
+    }
+    if let Some(pruned) = pruned {
+        registry.counter("explore.pruned_states").add(pruned);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore_with_stats, Discipline};
+    use crate::explore::Discipline;
     use nonfifo_protocols::{AlternatingBit, SequenceNumber};
 
     #[test]
-    fn facade_defaults_match_the_historical_entry_points() {
+    fn zero_threads_means_available_parallelism() {
         let cfg = ExploreConfig::default();
-        for proto in [
-            &SequenceNumber::new() as &dyn DataLink,
-            &AlternatingBit::new(),
-        ] {
-            let (legacy, legacy_stats) = explore_with_stats(proto, &cfg);
-            let mut facade = Explorer::new(cfg);
-            let (outcome, stats) = facade.explore_with_stats(proto);
-            assert_eq!(legacy.report(), outcome.report(), "{}", proto.name());
-            assert_eq!(legacy_stats, stats);
-
-            let par = ParallelExplorer::new(4).explore(proto, &cfg);
-            let mut par_facade = Explorer::new(cfg).parallel(4);
-            assert_eq!(
-                par.report(),
-                par_facade.explore(proto).report(),
-                "{}",
-                proto.name()
-            );
-        }
+        assert!(Explorer::new(cfg).parallel(0).threads().unwrap() >= 1);
+        assert_eq!(Explorer::new(cfg).parallel(3).threads(), Some(3));
+        assert_eq!(Explorer::new(cfg).threads(), None);
     }
 
     #[test]
@@ -267,7 +251,7 @@ mod tests {
         let reference = Explorer::new(cfg).explore(&proto).report();
         let mut facade = Explorer::new(cfg);
         for _ in 0..2 {
-            facade = facade.sequential();
+            facade.threads = None;
             assert_eq!(facade.explore(&proto).report(), reference);
             facade = facade.parallel(2);
             assert_eq!(facade.explore(&proto).report(), reference);
@@ -275,24 +259,5 @@ mod tests {
             assert_eq!(facade.explore(&proto).report(), reference);
             facade = facade.visited(VisitedSpec::Ram);
         }
-    }
-
-    #[test]
-    fn probabilistic_runs_report_a_bound() {
-        let cfg = ExploreConfig::default();
-        let proto = SequenceNumber::new();
-        let mut facade = Explorer::new(cfg).visited(VisitedSpec::Probabilistic {
-            memory_budget: 1 << 20,
-        });
-        let outcome = facade.explore(&proto);
-        let bound = facade
-            .visited_set()
-            .false_dedup_bound()
-            .expect("probabilistic tier reports a bound");
-        assert!((0.0..1.0).contains(&bound));
-        // An ample filter over this small scope misses nothing: the state
-        // count matches the exact engines'.
-        let exact = Explorer::new(cfg).explore(&proto);
-        assert_eq!(outcome.report(), exact.report());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The exploration engines deduplicate on 64-bit state keys (see
 //! [`crate::codec`]). This module replaces the hard-wired in-RAM shard
-//! array with a [`VisitedSet`] trait and three interchangeable tiers:
+//! array with a [`VisitedSet`] trait and two interchangeable exact tiers:
 //!
 //! - [`RamVisited`] — the existing exact tier: 64 FNV shards in RAM.
 //!   Fastest, bounded by memory.
@@ -16,14 +16,6 @@
 //!   run back into RAM. Reports stay byte-identical to [`RamVisited`] —
 //!   membership answers are exact — while resident memory stays under the
 //!   budget.
-//! - [`ProbabilisticVisited`] — a Bloom-filter tier with a fixed byte
-//!   footprint and a **bounded false-dedup rate**: a filter hit for a
-//!   never-seen state wrongly skips it, so a certificate produced on this
-//!   tier holds only modulo the reported bound
-//!   ([`VisitedSet::false_dedup_bound`], the standard
-//!   `(1 − e^(−kn/m))^k` estimate). The filter is seeded with fixed hash
-//!   functions and no randomness, so runs are deterministic and the bound
-//!   is reproducible.
 //!
 //! **Determinism contract.** Both engines call [`VisitedSet::insert`] /
 //! [`VisitedSet::insert_new`] in a deterministic order (sequential BFS
@@ -31,7 +23,7 @@
 //! ever *read* the set concurrently while it is frozen during a level
 //! ([`VisitedSet::contains`], [`VisitedSet::contains_resident`] and
 //! [`VisitedSet::probe_spilled_sorted`] take `&self`; the trait requires
-//! `Sync`). Exact tiers therefore produce identical admit/reject decisions
+//! `Sync`). The tiers therefore produce identical admit/reject decisions
 //! — and hence byte-identical reports — at any thread count and for any
 //! tier choice. Every quantity the tiers report (spill count, run count,
 //! disk bytes, resident/peak estimates, compaction I/O) is computed from
@@ -40,7 +32,7 @@
 //! byte-identical across thread counts.
 //!
 //! Tier selection is data ([`VisitedSpec`]), parsed from the CLI's
-//! `--visited <ram|tiered|probabilistic>` / `--memory-budget <bytes>` /
+//! `--visited <ram|tiered>` / `--memory-budget <bytes>` /
 //! `--compact-runs <n>` flags and owned by the
 //! [`Explorer`](crate::Explorer) facade.
 
@@ -93,8 +85,7 @@ pub(crate) fn shard_of(key: u64) -> usize {
 /// `insert` / `insert_new` require exclusive access and are the only
 /// mutators.
 pub trait VisitedSet: Send + Sync + std::fmt::Debug {
-    /// True if `key` has been admitted (exact tiers) or cannot be ruled out
-    /// (probabilistic tier).
+    /// True if `key` has been admitted.
     fn contains(&self, key: u64) -> bool;
 
     /// Membership against the *resident* structures only — for
@@ -124,10 +115,8 @@ pub trait VisitedSet: Send + Sync + std::fmt::Debug {
 
     /// Records `key` that the caller has already proven absent (via
     /// [`contains_resident`](VisitedSet::contains_resident) plus
-    /// [`probe_spilled_sorted`](VisitedSet::probe_spilled_sorted)). Exact
-    /// tiers may skip the membership probe [`insert`](VisitedSet::insert)
-    /// pays; the probabilistic tier keeps full insert semantics (its filter
-    /// probe is the dedup decision itself).
+    /// [`probe_spilled_sorted`](VisitedSet::probe_spilled_sorted)). Tiers
+    /// may skip the membership probe [`insert`](VisitedSet::insert) pays.
     fn insert_new(&mut self, key: u64) -> bool {
         self.insert(key)
     }
@@ -193,13 +182,6 @@ pub trait VisitedSet: Send + Sync + std::fmt::Debug {
     /// dropping the owner deletes every one of them.
     fn spill_paths(&self) -> Vec<PathBuf> {
         Vec::new()
-    }
-
-    /// For probabilistic tiers: an upper estimate of the probability that
-    /// the *next* membership probe wrongly deduplicates a never-seen state.
-    /// `None` for exact tiers — their certificates are unconditional.
-    fn false_dedup_bound(&self) -> Option<f64> {
-        None
     }
 }
 
@@ -820,102 +802,6 @@ impl VisitedSet for TieredVisited {
     }
 }
 
-/// Bloom hash count. With the filter sized from the byte budget rather
-/// than a known key count, a small fixed `k` keeps probes cheap and the
-/// closed-form bound exact to evaluate.
-const BLOOM_HASHES: u32 = 4;
-
-/// Smallest filter the probabilistic tier will build, whatever the budget:
-/// 1 KiB. Degenerate filters would saturate instantly and report a useless
-/// (though still honest) bound near 1.
-const BLOOM_MIN_BYTES: usize = 1024;
-
-/// The probabilistic tier: a fixed-footprint Bloom filter. Exactness is
-/// traded for memory — a saturated bit pattern can wrongly deduplicate a
-/// never-seen state ("false dedup"), silently shrinking the explored set —
-/// so certificates from this tier are annotated with
-/// [`VisitedSet::false_dedup_bound`] rather than reported unconditionally.
-/// Hashes are fixed (double hashing over [`mix64`] streams, no RNG), so
-/// runs and bounds are deterministic.
-#[derive(Debug)]
-pub struct ProbabilisticVisited {
-    bits: Vec<u64>,
-    nbits: u64,
-    admitted: usize,
-}
-
-impl ProbabilisticVisited {
-    /// A filter of `memory_budget` bytes (clamped up to a 1 KiB floor).
-    pub fn new(memory_budget: usize) -> Self {
-        let words = memory_budget.max(BLOOM_MIN_BYTES) / 8;
-        ProbabilisticVisited {
-            bits: vec![0u64; words],
-            nbits: (words * 64) as u64,
-            admitted: 0,
-        }
-    }
-
-    /// The `i`-th probe position for `key` (double hashing; `h2` is forced
-    /// odd so the stride never degenerates).
-    fn bit_of(&self, key: u64, i: u32) -> u64 {
-        let h1 = mix64(key);
-        let h2 = mix64(key ^ 0x9e37_79b9_7f4a_7c15) | 1;
-        h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % self.nbits
-    }
-
-    fn probe(&self, key: u64) -> bool {
-        (0..BLOOM_HASHES).all(|i| {
-            let bit = self.bit_of(key, i);
-            self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
-        })
-    }
-}
-
-impl VisitedSet for ProbabilisticVisited {
-    fn contains(&self, key: u64) -> bool {
-        self.probe(key)
-    }
-
-    fn insert(&mut self, key: u64) -> bool {
-        if self.probe(key) {
-            // Either a genuine duplicate or a false dedup — by design the
-            // filter cannot tell, which is exactly what the reported bound
-            // quantifies.
-            return false;
-        }
-        for i in 0..BLOOM_HASHES {
-            let bit = self.bit_of(key, i);
-            self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
-        }
-        self.admitted += 1;
-        true
-    }
-
-    fn len(&self) -> usize {
-        self.admitted
-    }
-
-    fn clear(&mut self) {
-        self.bits.fill(0);
-        self.admitted = 0;
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
-
-    fn shard_sizes(&self, _out: &mut Vec<u64>) {}
-
-    fn false_dedup_bound(&self) -> Option<f64> {
-        // The standard Bloom estimate (1 − e^(−kn/m))^k with n = keys
-        // admitted so far, m = filter bits, k = probe count.
-        let k = f64::from(BLOOM_HASHES);
-        let n = self.admitted as f64;
-        let m = self.nbits as f64;
-        Some((1.0 - (-k * n / m).exp()).powf(k))
-    }
-}
-
 /// Tier selection as data: which [`VisitedSet`] an exploration should
 /// deduplicate through. Parsed from `--visited` / `--memory-budget` /
 /// `--compact-runs` and owned by the [`Explorer`](crate::Explorer) facade.
@@ -932,15 +818,9 @@ pub enum VisitedSpec {
         /// Live-run threshold that triggers a background compaction.
         compact_runs: usize,
     },
-    /// Bloom filter of a fixed byte footprint ([`ProbabilisticVisited`]);
-    /// certificates hold modulo the reported false-dedup bound.
-    Probabilistic {
-        /// Filter size in bytes.
-        memory_budget: usize,
-    },
 }
 
-/// Default byte budget when `--visited tiered|probabilistic` is given
+/// Default byte budget when `--visited tiered` is given
 /// without `--memory-budget`: 1 GiB.
 pub const DEFAULT_MEMORY_BUDGET: usize = 1 << 30;
 
@@ -965,16 +845,7 @@ impl VisitedSpec {
                 memory_budget,
                 compact_runs,
             )),
-            VisitedSpec::Probabilistic { memory_budget } => {
-                Box::new(ProbabilisticVisited::new(memory_budget))
-            }
         }
-    }
-
-    /// True for tiers whose membership answers are exact — the modes whose
-    /// reports are byte-identical to [`VisitedSpec::Ram`].
-    pub fn is_exact(&self) -> bool {
-        !matches!(self, VisitedSpec::Probabilistic { .. })
     }
 
     /// Applies a `--memory-budget` value to the spec (no-op for
@@ -986,7 +857,6 @@ impl VisitedSpec {
                 memory_budget,
                 compact_runs,
             },
-            VisitedSpec::Probabilistic { .. } => VisitedSpec::Probabilistic { memory_budget },
         }
     }
 
@@ -1016,9 +886,6 @@ impl std::fmt::Display for VisitedSpec {
                     "tiered (budget {memory_budget} B, compact at {compact_runs} runs)"
                 )
             }
-            VisitedSpec::Probabilistic { memory_budget } => {
-                write!(f, "probabilistic ({memory_budget} B filter)")
-            }
         }
     }
 }
@@ -1026,19 +893,14 @@ impl std::fmt::Display for VisitedSpec {
 impl std::str::FromStr for VisitedSpec {
     type Err = String;
 
-    /// Parses `ram`, `tiered`, or `probabilistic`; budgets and thresholds
+    /// Parses `ram` or `tiered`; budgets and thresholds
     /// ride separately on [`VisitedSpec::with_budget`] and
     /// [`VisitedSpec::with_compact_runs`].
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "ram" => Ok(VisitedSpec::Ram),
             "tiered" => Ok(VisitedSpec::tiered(DEFAULT_MEMORY_BUDGET)),
-            "probabilistic" => Ok(VisitedSpec::Probabilistic {
-                memory_budget: DEFAULT_MEMORY_BUDGET,
-            }),
-            other => Err(format!(
-                "unknown visited tier {other:?} (ram, tiered, probabilistic)"
-            )),
+            other => Err(format!("unknown visited tier {other:?} (ram, tiered)")),
         }
     }
 }
@@ -1288,52 +1150,6 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_is_deterministic_and_reports_an_honest_bound() {
-        let build = || {
-            let mut bloom = ProbabilisticVisited::new(64 * 1024);
-            let answers: Vec<bool> = key_stream(20_000)
-                .iter()
-                .map(|&k| bloom.insert(k))
-                .collect();
-            (bloom, answers)
-        };
-        let (a, answers_a) = build();
-        let (b, answers_b) = build();
-        assert_eq!(answers_a, answers_b, "no RNG anywhere: runs must replay");
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.false_dedup_bound(), b.false_dedup_bound());
-
-        // Honesty: the distinct-key count is known, so the observed false
-        // dedups are countable. The bound is a per-probe expectation; 2x
-        // slack absorbs the variance of one fixed hash draw.
-        let keys = key_stream(20_000);
-        let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
-        let false_dedups = distinct.len() - a.len();
-        let bound = a.false_dedup_bound().unwrap();
-        assert!(bound > 0.0 && bound < 1.0);
-        assert!(
-            (false_dedups as f64) <= (bound * distinct.len() as f64).mul_add(2.0, 8.0),
-            "{false_dedups} false dedups exceeds twice the reported bound \
-             ({bound:.2e} over {} keys)",
-            distinct.len()
-        );
-    }
-
-    #[test]
-    fn probabilistic_with_ample_budget_is_effectively_exact() {
-        // 1 MiB of filter for 20k keys: the bound collapses and no false
-        // dedup occurs, so the admitted count equals the distinct count.
-        let mut bloom = ProbabilisticVisited::new(1 << 20);
-        let keys = key_stream(20_000);
-        for &k in &keys {
-            bloom.insert(k);
-        }
-        let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
-        assert_eq!(bloom.len(), distinct.len());
-        assert!(bloom.false_dedup_bound().unwrap() < 1e-6);
-    }
-
-    #[test]
     fn shard_index_comes_from_the_mixed_digest() {
         // Raw FNV state keys share high-entropy low bits only after
         // mixing; the regression here is structural: consecutive FNV
@@ -1363,11 +1179,8 @@ mod tests {
                 ..
             }
         ));
-        assert!(matches!(
-            "probabilistic".parse::<VisitedSpec>().unwrap(),
-            VisitedSpec::Probabilistic { .. }
-        ));
         assert!("mmap".parse::<VisitedSpec>().is_err());
+        assert!("probabilistic".parse::<VisitedSpec>().is_err());
         let spec = "tiered"
             .parse::<VisitedSpec>()
             .unwrap()
@@ -1380,11 +1193,6 @@ mod tests {
                 compact_runs: 3
             }
         );
-        assert!(spec.is_exact());
-        assert!(!VisitedSpec::Probabilistic {
-            memory_budget: 4096
-        }
-        .is_exact());
         // `--compact-runs` has no run list to bound on the other tiers.
         assert_eq!(VisitedSpec::Ram.with_compact_runs(5), VisitedSpec::Ram,);
         let mut set = spec.build();

@@ -12,7 +12,7 @@
 //! buffers grow from empty a few times each, but no state costs an
 //! allocation of its own.
 
-use nonfifo_adversary::{ExploreArena, ExploreConfig, ParallelExplorer};
+use nonfifo_adversary::{ExploreConfig, Explorer};
 use nonfifo_protocols::SequenceNumber;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,17 +85,15 @@ fn warm_exploration_allocates_a_small_constant() {
     // thread (so no spawn overhead either — the promise under test is the
     // expansion loop itself).
     let _serial = MEASURING.lock().expect("a measuring test panicked");
-    let explorer = ParallelExplorer::new(1);
-    let cfg = ExploreConfig::default();
-    let mut arena = ExploreArena::new();
+    let mut explorer = Explorer::new(ExploreConfig::default()).parallel(1);
 
     // Warm-up: the first runs grow every buffer the engine will ever need
     // for this scope (shards, frontier arenas, scratches, the path arena).
-    let cold = explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
-    explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
+    let cold = explorer.explore(&SequenceNumber::new());
+    explorer.explore(&SequenceNumber::new());
 
     let before = allocations();
-    let warm = explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
+    let warm = explorer.explore(&SequenceNumber::new());
     let spent = allocations() - before;
 
     assert_eq!(
@@ -122,11 +120,9 @@ fn fresh_exploration_allocates_per_buffer_not_per_state() {
     // hundreds of allocations per level back.
     let _serial = MEASURING.lock().expect("a measuring test panicked");
     let before = allocations();
-    let outcome = ParallelExplorer::new(1).explore_in(
-        &SequenceNumber::new(),
-        &ExploreConfig::default(),
-        &mut ExploreArena::new(),
-    );
+    let outcome = Explorer::new(ExploreConfig::default())
+        .parallel(1)
+        .explore(&SequenceNumber::new());
     let spent = allocations() - before;
     assert!(outcome.is_certificate(), "{}", outcome.report());
     assert!(
@@ -138,12 +134,10 @@ fn fresh_exploration_allocates_per_buffer_not_per_state() {
 #[test]
 #[ignore]
 fn diagnose_allocation_sources() {
-    let explorer = ParallelExplorer::new(1);
-    let cfg = ExploreConfig::default();
-    let mut arena = ExploreArena::new();
+    let mut explorer = Explorer::new(ExploreConfig::default()).parallel(1);
     for run in 0..6 {
         let before = allocations();
-        explorer.explore_in(&SequenceNumber::new(), &cfg, &mut arena);
+        explorer.explore(&SequenceNumber::new());
         println!("run {run}: {} allocations", allocations() - before);
     }
 }

@@ -14,7 +14,7 @@
 //! `bench_guard --metric explore.reduction_ratio` to hold against
 //! `BENCH_baseline.json`.
 
-use nonfifo_adversary::{explore, ExploreConfig, ExploreOutcome, ParallelExplorer};
+use nonfifo_adversary::{ExploreConfig, ExploreOutcome, Explorer};
 use nonfifo_bench::harness::Group;
 use nonfifo_protocols::SequenceNumber;
 use nonfifo_telemetry::Registry;
@@ -62,20 +62,18 @@ fn main() {
     let proto = SequenceNumber::new();
 
     let group = Group::new("explore_throughput").samples(3);
-    group.bench("sequential", || explore(&proto, &cfg));
+    group.bench("sequential", || Explorer::new(cfg).explore(&proto));
     for threads in THREADS {
-        let explorer = ParallelExplorer::new(threads);
         group.bench(&format!("parallel_t{threads}"), || {
-            explorer.explore(&proto, &cfg)
+            Explorer::new(cfg).parallel(threads).explore(&proto)
         });
     }
 
     println!("\n== states_per_sec (median of 3)");
-    let seq = median_rate(|| explore(&proto, &cfg));
+    let seq = median_rate(|| Explorer::new(cfg).explore(&proto));
     println!("sequential    : {seq:>10.0} states/sec  (1.00x)");
     for threads in THREADS {
-        let explorer = ParallelExplorer::new(threads);
-        let rate = median_rate(|| explorer.explore(&proto, &cfg));
+        let rate = median_rate(|| Explorer::new(cfg).parallel(threads).explore(&proto));
         println!(
             "parallel t={threads:<2} : {rate:>10.0} states/sec  ({:.2}x)",
             rate / seq
@@ -86,11 +84,12 @@ fn main() {
     // and span hook live. The recording path is relaxed atomics, so the
     // target is <= 5% throughput loss (the PR's acceptance criterion).
     println!("\n== telemetry overhead (parallel t=8, median of 3)");
-    let plain = median_rate(|| ParallelExplorer::new(8).explore(&proto, &cfg));
+    let plain = median_rate(|| Explorer::new(cfg).parallel(8).explore(&proto));
     let watched = median_rate(|| {
-        ParallelExplorer::new(8)
+        Explorer::new(cfg)
+            .parallel(8)
             .with_telemetry(Arc::new(Registry::new()), None)
-            .explore(&proto, &cfg)
+            .explore(&proto)
     });
     let overhead = (plain - watched) / plain * 100.0;
     println!("telemetry off : {plain:>10.0} states/sec");
@@ -106,9 +105,9 @@ fn main() {
     // structural number, identical on every machine.
     println!("\n== partial-order reduction (parallel t=8)");
     let por_cfg = ExploreConfig { por: true, ..cfg };
-    let full_states = states(&ParallelExplorer::new(8).explore(&proto, &cfg));
+    let full_states = states(&Explorer::new(cfg).parallel(8).explore(&proto));
     let por_start = Instant::now();
-    let por_outcome = ParallelExplorer::new(8).explore(&proto, &por_cfg);
+    let por_outcome = Explorer::new(por_cfg).parallel(8).explore(&proto);
     let por_elapsed = por_start.elapsed().as_secs_f64();
     let por_states = states(&por_outcome);
     assert!(por_states > 0, "reduced run must still certify");

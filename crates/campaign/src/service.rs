@@ -48,6 +48,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Largest request body the daemon reads: 1 MiB, far above any plan.
+/// A longer declared `Content-Length` gets `413` before anything is
+/// allocated for it.
+const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// How a [`CampaignService`] runs campaigns.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
@@ -376,7 +381,8 @@ impl CampaignService {
         let mut head = request_line.split_whitespace();
         let method = head.next().unwrap_or("").to_string();
         let path = head.next().unwrap_or("").to_string();
-        let mut content_length = 0usize;
+        // `None` once a Content-Length header fails to parse as a count.
+        let mut content_length = Some(0usize);
         loop {
             let mut line = String::new();
             match reader.read_line(&mut line) {
@@ -389,7 +395,7 @@ impl CampaignService {
             }
             if let Some((key, value)) = line.split_once(':') {
                 if key.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().unwrap_or(0);
+                    content_length = value.trim().parse().ok();
                 }
             }
         }
@@ -408,6 +414,18 @@ impl CampaignService {
                 let _ = TcpStream::connect(addr);
             }
             ("POST", "/campaign") => {
+                let Some(content_length) = content_length else {
+                    let message = "Content-Length is not a byte count".to_string();
+                    reject(&mut writer, "400 Bad Request", message);
+                    return;
+                };
+                if content_length > MAX_BODY_BYTES {
+                    let message = format!(
+                        "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+                    );
+                    reject(&mut writer, "413 Payload Too Large", message);
+                    return;
+                }
                 let mut body = vec![0u8; content_length];
                 if reader.read_exact(&mut body).is_err() {
                     return;
@@ -434,19 +452,12 @@ impl CampaignService {
             match WireMsg::parse_line(body) {
                 Ok(WireMsg::Submit { plan, workers }) => (plan, workers as usize),
                 Ok(other) => {
-                    let line = WireMsg::Error {
-                        message: format!("expected a submit message, got {:?}", other.kind()),
-                    }
-                    .to_line();
-                    respond(writer, "400 Bad Request", "application/x-ndjson", &line);
+                    let message = format!("expected a submit message, got {:?}", other.kind());
+                    reject(writer, "400 Bad Request", message);
                     return;
                 }
                 Err(e) => {
-                    let line = WireMsg::Error {
-                        message: e.to_string(),
-                    }
-                    .to_line();
-                    respond(writer, "400 Bad Request", "application/x-ndjson", &line);
+                    reject(writer, "400 Bad Request", e.to_string());
                     return;
                 }
             }
@@ -458,11 +469,7 @@ impl CampaignService {
             .map_err(NonFifoError::from)
             .and_then(|plan| PlanExpansion::of_plan(&plan));
         if let Err(e) = validated {
-            let line = WireMsg::Error {
-                message: e.to_string(),
-            }
-            .to_line();
-            respond(writer, "400 Bad Request", "application/x-ndjson", &line);
+            reject(writer, "400 Bad Request", e.to_string());
             return;
         }
 
@@ -488,6 +495,13 @@ impl CampaignService {
         let _ = writer.write_all(final_line.as_bytes());
         let _ = writer.flush();
     }
+}
+
+/// Refuses a `POST /campaign` before any stream starts: `status` with one
+/// [`WireMsg::Error`] line as the body.
+fn reject(writer: &mut BufWriter<TcpStream>, status: &str, message: String) {
+    let line = WireMsg::Error { message }.to_line();
+    respond(writer, status, "application/x-ndjson", &line);
 }
 
 fn respond(writer: &mut BufWriter<TcpStream>, status: &str, content_type: &str, body: &str) {

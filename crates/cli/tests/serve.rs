@@ -12,7 +12,7 @@ use nonfifo_campaign::{
 use nonfifo_telemetry::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -187,13 +187,19 @@ fn worker_subcommand_rejects_garbage_with_an_error_line_and_exit_1() {
 /// connection after each response, so reading to EOF collects everything —
 /// including a full NDJSON campaign stream.
 fn http(addr: &str, method: &str, path: &str, body: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
+    raw_http(
+        addr,
+        &format!(
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        ),
     )
-    .unwrap();
+}
+
+/// Sends `request` verbatim; returns (head, body) like [`http`].
+fn raw_http(addr: &str, request: &str) -> (String, String) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(request.as_bytes()).unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
     let (head, body) = response
@@ -202,9 +208,9 @@ fn http(addr: &str, method: &str, path: &str, body: &str) -> (String, String) {
     (head.to_string(), body.to_string())
 }
 
-#[test]
-fn http_daemon_serves_campaigns_byte_identical_to_batch() {
-    let (render, aggregate) = batch_baseline();
+/// Starts `nonfifo serve` on an ephemeral port; returns the process and
+/// the bound address scraped from its banner line.
+fn spawn_daemon() -> (Child, String) {
     let mut daemon = Command::new(BIN)
         .args(["serve", "--addr", "127.0.0.1:0"])
         .stdout(Stdio::piped())
@@ -228,6 +234,30 @@ fn http_daemon_serves_campaigns_byte_identical_to_batch() {
             .expect("banner names the bound address")
             .to_string()
     };
+    // Keep the pipe open: a daemon writing to a closed stdout would die.
+    daemon.stdout = Some(stdout);
+    (daemon, addr)
+}
+
+/// `POST /shutdown`, then waits for the daemon to exit cleanly.
+fn shut_down(mut daemon: Child, addr: &str) {
+    let (head, _) = http(addr, "POST", "/shutdown", "");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            assert!(status.success(), "daemon exits cleanly on /shutdown");
+            break;
+        }
+        assert!(Instant::now() < deadline, "daemon ignored /shutdown");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+#[test]
+fn http_daemon_serves_campaigns_byte_identical_to_batch() {
+    let (render, aggregate) = batch_baseline();
+    let (daemon, addr) = spawn_daemon();
 
     let (head, body) = http(&addr, "GET", "/healthz", "");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -313,15 +343,32 @@ fn http_daemon_serves_campaigns_byte_identical_to_batch() {
             > 0.0
     );
 
-    let (head, _) = http(&addr, "POST", "/shutdown", "");
+    shut_down(daemon, &addr);
+}
+
+#[test]
+fn absurd_content_lengths_are_refused_and_the_daemon_survives() {
+    let (daemon, addr) = spawn_daemon();
+    // A petabyte body declared, none sent: refused before any allocation
+    // (this used to abort the daemon).
+    let (head, body) = raw_http(
+        &addr,
+        "POST /campaign HTTP/1.1\r\nContent-Length: 1000000000000000\r\n\r\n",
+    );
+    assert!(head.starts_with("HTTP/1.1 413"), "{head}");
+    assert!(
+        matches!(WireMsg::parse_line(body.trim()), Ok(WireMsg::Error { .. })),
+        "413 body is an error message: {body}"
+    );
+    // A length that is not a number is a 400, not an empty body.
+    let (head, _) = raw_http(
+        &addr,
+        "POST /campaign HTTP/1.1\r\nContent-Length: lots\r\n\r\n",
+    );
+    assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+
+    let (head, body) = http(&addr, "GET", "/healthz", "");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Some(status) = daemon.try_wait().unwrap() {
-            assert!(status.success(), "daemon exits cleanly on /shutdown");
-            break;
-        }
-        assert!(Instant::now() < deadline, "daemon ignored /shutdown");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    assert_eq!(body, "ok\n");
+    shut_down(daemon, &addr);
 }

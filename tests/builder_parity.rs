@@ -29,8 +29,9 @@ fn assert_parity(old: Simulation, new: Simulation, n: u64, label: &str) {
     assert_eq!(old_snap, new_snap, "{label}: metrics diverged");
 }
 
-/// Every chain from the migration table in `docs/builder_migration.md`,
-/// over a representative protocol.
+/// One builder chain per channel discipline and fault plan — this table
+/// is the constructor → builder reference — over a representative
+/// protocol.
 fn migration_chains(seed: u64) -> Vec<(&'static str, Simulation)> {
     let plan = FaultPlan::parse("dup 0.15\ndrop 0.1").expect("plan");
     vec![

@@ -9,8 +9,7 @@
 //! runtime).
 
 use nonfifo::adversary::{
-    explore, scope_root, Discipline, ExploreArena, ExploreConfig, ExploreOutcome, ParallelExplorer,
-    Schedule,
+    scope_root, Discipline, ExploreConfig, ExploreOutcome, Explorer, Schedule,
 };
 use nonfifo::protocols::{
     AlternatingBit, DataLink, GoBackN, Outnumber, SequenceNumber, SlidingWindow,
@@ -74,8 +73,8 @@ fn random_scope(rng: &mut StdRng) -> ExploreConfig {
             None
         },
         // Half the scopes run reduced: every property here (engine
-        // agreement, thread-count byte-identity, arena invisibility,
-        // counterexample replay) must hold with the reduction on too.
+        // agreement, thread-count byte-identity, counterexample replay)
+        // must hold with the reduction on too.
         por: rng.gen_range(0..2) == 1,
     }
 }
@@ -93,8 +92,8 @@ fn sequential_and_parallel_agree_across_the_matrix() {
     for_seeds(cases(), |seed, rng| {
         let proto = random_protocol(rng);
         let cfg = random_scope(rng);
-        let seq = explore(proto.as_ref(), &cfg);
-        let par = ParallelExplorer::new(0).explore(proto.as_ref(), &cfg);
+        let seq = Explorer::new(cfg).explore(proto.as_ref());
+        let par = Explorer::new(cfg).parallel(0).explore(proto.as_ref());
         assert_eq!(
             kind(&seq),
             kind(&par),
@@ -124,47 +123,19 @@ fn parallel_reports_are_byte_identical_across_thread_counts() {
     for_seeds(cases(), |seed, rng| {
         let proto = random_protocol(rng);
         let cfg = random_scope(rng);
-        let baseline = ParallelExplorer::new(1)
-            .explore(proto.as_ref(), &cfg)
+        let baseline = Explorer::new(cfg)
+            .parallel(1)
+            .explore(proto.as_ref())
             .report();
         for threads in [2, 8] {
-            let report = ParallelExplorer::new(threads)
-                .explore(proto.as_ref(), &cfg)
+            let report = Explorer::new(cfg)
+                .parallel(threads)
+                .explore(proto.as_ref())
                 .report();
             assert_eq!(
                 baseline,
                 report,
                 "seed {seed}: {threads}-thread report diverges for {} under {}",
-                proto.name(),
-                cfg.discipline,
-            );
-        }
-    });
-}
-
-#[test]
-fn arena_reuse_is_invisible() {
-    // The engine's zero-copy machinery — parent-pointer path records,
-    // packed frontier arenas, scratch systems refilled with `assign_from`
-    // and `unpack` —
-    // lives in the `ExploreArena`. Running a random sequence of scopes and
-    // protocols through ONE arena (so every run inherits the previous
-    // run's recycled buffers, including across protocol switches) must
-    // produce byte-identical reports to fresh-arena runs.
-    for_seeds(cases(), |seed, rng| {
-        let explorer = ParallelExplorer::new(1 + rng.gen_range(0..3));
-        let mut arena = ExploreArena::new();
-        for round in 0..3 {
-            let proto = random_protocol(rng);
-            let cfg = random_scope(rng);
-            let warm = explorer
-                .explore_in(proto.as_ref(), &cfg, &mut arena)
-                .report();
-            let fresh = explorer.explore(proto.as_ref(), &cfg).report();
-            assert_eq!(
-                warm,
-                fresh,
-                "seed {seed} round {round}: warm-arena report diverges for {} under {}",
                 proto.name(),
                 cfg.discipline,
             );
@@ -181,7 +152,7 @@ fn counterexamples_replay_and_certificates_quiesce() {
         let proto = random_protocol(rng);
         let cfg = random_scope(rng);
         if let ExploreOutcome::Counterexample { schedule, .. } =
-            ParallelExplorer::new(0).explore(proto.as_ref(), &cfg)
+            Explorer::new(cfg).parallel(0).explore(proto.as_ref())
         {
             // Replay from the scope's root: corrupted scopes only violate
             // when the seeded junk is present, so a clean boot would abort.

@@ -21,7 +21,7 @@
 
 use nonfifo::adversary::{
     apply_step, scope_root, state_digest, steps_independent_at, Discipline, ExploreConfig,
-    ExploreOutcome, ParallelExplorer, ScheduleStep, System,
+    ExploreOutcome, Explorer, ScheduleStep, System,
 };
 use nonfifo::protocols::{
     AlternatingBit, DataLink, GoBackN, Outnumber, SequenceNumber, SlidingWindow,
@@ -264,9 +264,10 @@ fn reduced_engine_agrees_with_full_oracle() {
             _ => Discipline::LossyFifo,
         };
         cfg.max_depth = 4 + rng.gen_range(0..6);
-        let reduced = ParallelExplorer::new(0).explore(proto.as_ref(), &cfg);
-        let full =
-            ParallelExplorer::new(0).explore(proto.as_ref(), &ExploreConfig { por: false, ..cfg });
+        let reduced = Explorer::new(cfg).parallel(0).explore(proto.as_ref());
+        let full = Explorer::new(ExploreConfig { por: false, ..cfg })
+            .parallel(0)
+            .explore(proto.as_ref());
         assert_eq!(
             kind(&reduced),
             kind(&full),

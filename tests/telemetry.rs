@@ -3,7 +3,7 @@
 //! schema, and — the load-bearing guarantee — that attaching telemetry
 //! never changes what a run computes.
 
-use nonfifo::adversary::{ExploreConfig, ParallelExplorer};
+use nonfifo::adversary::{ExploreConfig, Explorer, VisitedSpec};
 use nonfifo::channel::{
     AdversarialChannel, BoundedReorderChannel, ChannelIntrospect, ChaosChannel, CorruptingChannel,
     Discipline, FaultObserver, FaultPlan, FifoChannel, LossyFifoChannel, ProbabilisticChannel,
@@ -185,13 +185,15 @@ fn explorer_reports_are_byte_identical_with_telemetry_enabled() {
             Box::new(SequenceNumber::new()) as Box<dyn nonfifo::protocols::DataLink>,
             Box::new(AlternatingBit::new()),
         ] {
-            let plain = ParallelExplorer::new(threads)
-                .explore(proto.as_ref(), &cfg)
+            let plain = Explorer::new(cfg)
+                .parallel(threads)
+                .explore(proto.as_ref())
                 .report();
             let registry = Arc::new(Registry::new());
-            let watched = ParallelExplorer::new(threads)
+            let watched = Explorer::new(cfg)
+                .parallel(threads)
                 .with_telemetry(Arc::clone(&registry), Some(Arc::new(TraceSink::new())))
-                .explore(proto.as_ref(), &cfg)
+                .explore(proto.as_ref())
                 .report();
             assert_eq!(
                 plain,
@@ -201,5 +203,52 @@ fn explorer_reports_are_byte_identical_with_telemetry_enabled() {
             );
             assert!(registry.snapshot().counters["explore.states"] > 0);
         }
+    }
+}
+
+#[test]
+fn both_engines_export_one_end_of_run_vocabulary() {
+    // Every name the shared end-of-run writer records on both engines
+    // (the spill names are recorded only when non-zero, and this scope
+    // fits the 4 KiB budget).
+    const END_OF_RUN: [&str; 8] = [
+        "explore.states",
+        "explore.states_per_sec",
+        "explore.wall_ns",
+        "explore.threads",
+        "explore.visited_bytes",
+        "explore.codec_bytes_per_state",
+        "explore.shard_occupancy",
+        "explore.pruned_states",
+    ];
+    let cfg = ExploreConfig::default();
+    for spec in [VisitedSpec::Ram, VisitedSpec::tiered(4096)] {
+        let mut states = Vec::new();
+        for threads in [1, 2] {
+            let registry = Arc::new(Registry::new());
+            let mut explorer = Explorer::new(cfg)
+                .visited(spec)
+                .with_telemetry(Arc::clone(&registry), None);
+            if threads > 1 {
+                explorer = explorer.parallel(threads);
+            }
+            explorer.explore(&SequenceNumber::new());
+            let snap = registry.snapshot();
+            for name in END_OF_RUN {
+                assert!(
+                    snap.counters.contains_key(name)
+                        || snap.gauges.contains_key(name)
+                        || snap.histograms.contains_key(name)
+                        || snap.values.contains_key(name),
+                    "{spec}, {threads} thread(s): {name} missing"
+                );
+            }
+            assert_eq!(snap.gauges["explore.threads"].value, threads as u64);
+            states.push(snap.counters["explore.states"]);
+        }
+        assert_eq!(
+            states[0], states[1],
+            "{spec}: engines disagree on explore.states"
+        );
     }
 }
