@@ -69,7 +69,7 @@ mod wire;
 pub use cache::{CacheError, CachedRun, CampaignCache, SharedCache, CACHE_SCHEMA_VERSION};
 pub use plan::{CampaignPlan, CampaignPlanError, PLAN_SCHEMA_VERSION};
 pub use runner::{CampaignReport, CampaignRunner, RunOutcome, RunRecord};
-pub use service::{run_worker, CampaignService, ServiceConfig};
+pub use service::{run_worker, CampaignService, ServiceConfig, MAX_HEAD_BYTES};
 pub use shard::{cost_weight, merge_reports, PlanExpansion, ShardRecord, ShardReport, ShardSpec};
 pub use spec::{RunSpec, ScenarioSpec};
 pub use wire::{WireError, WireMsg, WIRE_SCHEMA_VERSION};

@@ -8,7 +8,7 @@
 //! [`std::net`] (this workspace links no external crates). A submitted
 //! campaign drives the same three public stages as the batch CLI:
 //! [`PlanExpansion`] expands and validates the plan, each
-//! [`ShardSpec`] executes its round-robin slice — in a spawned
+//! [`ShardSpec`] executes its cost-weighted slice — in a spawned
 //! `nonfifo worker` process fed one [`WireMsg::Shard`] line on stdin and
 //! answering one [`WireMsg::Run`] line per completed run on stdout — and
 //! [`merge_reports`] reassembles the records fingerprint-keyed in input
@@ -52,6 +52,11 @@ use std::time::{Duration, Instant};
 /// A longer declared `Content-Length` gets `413` before anything is
 /// allocated for it.
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Largest request head (request line plus headers) the daemon reads:
+/// 8 KiB. A head that has not ended by then gets `431` before any work
+/// starts.
+pub const MAX_HEAD_BYTES: usize = 8 << 10;
 
 /// How a [`CampaignService`] runs campaigns.
 #[derive(Debug, Clone, Default)]
@@ -374,23 +379,26 @@ impl CampaignService {
         let mut reader = BufReader::new(read_half);
         let mut writer = BufWriter::new(stream);
 
+        let mut head = (&mut reader).take(MAX_HEAD_BYTES as u64);
         let mut request_line = String::new();
-        if reader.read_line(&mut request_line).is_err() {
+        if head.read_line(&mut request_line).is_err() {
             return;
         }
-        let mut head = request_line.split_whitespace();
-        let method = head.next().unwrap_or("").to_string();
-        let path = head.next().unwrap_or("").to_string();
+        let mut words = request_line.split_whitespace();
+        let method = words.next().unwrap_or("").to_string();
+        let path = words.next().unwrap_or("").to_string();
         // `None` once a Content-Length header fails to parse as a count.
         let mut content_length = Some(0usize);
+        let mut head_ended = false;
         loop {
             let mut line = String::new();
-            match reader.read_line(&mut line) {
+            match head.read_line(&mut line) {
                 Ok(0) | Err(_) => break,
                 Ok(_) => {}
             }
             let line = line.trim();
             if line.is_empty() {
+                head_ended = true;
                 break;
             }
             if let Some((key, value)) = line.split_once(':') {
@@ -399,7 +407,18 @@ impl CampaignService {
                 }
             }
         }
+        let head_too_large = !head_ended && head.limit() == 0;
         self.registry.counter("service.requests_total").inc();
+        if head_too_large {
+            let body = format!("request head exceeds the {MAX_HEAD_BYTES}-byte limit\n");
+            respond(
+                &mut writer,
+                "431 Request Header Fields Too Large",
+                "text/plain",
+                &body,
+            );
+            return;
+        }
 
         match (method.as_str(), path.as_str()) {
             ("GET", "/healthz") => respond(&mut writer, "200 OK", "text/plain", "ok\n"),
@@ -736,7 +755,8 @@ seeds 0..3
     fn worker_loop_round_trips_a_shard_over_buffers() {
         let plan = CampaignPlan::parse(PLAN).unwrap();
         let expansion = PlanExpansion::of_plan(&plan).unwrap();
-        let shard = &expansion.shard_all(3)[1];
+        let all: Vec<usize> = (0..expansion.len()).collect();
+        let shard = &expansion.shards_weighted(&all, 3)[1];
         let assignment = WireMsg::shard_assignment(PLAN, shard).to_line();
         let mut output = Vec::new();
         run_worker(&mut assignment.as_bytes(), &mut output, None).unwrap();

@@ -87,35 +87,6 @@ impl PlanExpansion {
         (cached, misses)
     }
 
-    /// Partitions `indices` round-robin into `n` shards. Round-robin (not
-    /// contiguous blocks) because adjacent runs share a scenario and
-    /// therefore a cost profile — interleaving balances the expensive
-    /// scenario across every worker instead of handing it to one.
-    ///
-    /// Shards with no work are dropped, so the result may be shorter than
-    /// `n`; it is empty only if `indices` is.
-    pub fn shards(&self, indices: &[usize], n: usize) -> Vec<ShardSpec> {
-        let n = n.max(1).min(indices.len().max(1));
-        let mut shards: Vec<ShardSpec> = (0..n)
-            .map(|shard| ShardSpec {
-                shard,
-                of: n,
-                indices: Vec::new(),
-            })
-            .collect();
-        for (slot, &index) in indices.iter().enumerate() {
-            shards[slot % n].indices.push(index);
-        }
-        shards.retain(|s| !s.indices.is_empty());
-        shards
-    }
-
-    /// [`shards`](PlanExpansion::shards) over every run in the expansion.
-    pub fn shard_all(&self, n: usize) -> Vec<ShardSpec> {
-        let all: Vec<usize> = (0..self.runs.len()).collect();
-        self.shards(&all, n)
-    }
-
     /// Partitions `indices` into `n` shards balanced by **expected run
     /// cost** ([`cost_weight`]) instead of run count: longest-processing-
     /// time greedy — heaviest run first, each to the lightest-loaded shard.
@@ -130,8 +101,8 @@ impl PlanExpansion {
     /// merge is fingerprint-keyed and index-addressed, so *placement*
     /// can never leak into the report.
     ///
-    /// Shards with no work are dropped, exactly as in
-    /// [`shards`](PlanExpansion::shards).
+    /// Shards with no work are dropped, so the result may be shorter than
+    /// `n`; it is empty only if `indices` is.
     pub fn shards_weighted(&self, indices: &[usize], n: usize) -> Vec<ShardSpec> {
         let n = n.max(1).min(indices.len().max(1));
         let mut order: Vec<usize> = indices.to_vec();
@@ -405,47 +376,16 @@ mod tests {
         assert!(err.to_string().contains("warbler"), "{err}");
     }
 
-    #[test]
-    fn round_robin_shards_cover_exactly_the_input() {
-        let exp = expansion();
-        for n in [1, 2, 3, 4, 7, exp.len(), exp.len() + 5] {
-            let shards = exp.shard_all(n);
-            assert!(shards.len() <= n.min(exp.len()));
-            let mut seen: Vec<usize> = shards.iter().flat_map(|s| s.indices.clone()).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..exp.len()).collect::<Vec<_>>(), "n={n}");
-            // Balanced: sizes differ by at most one.
-            let sizes: Vec<usize> = shards.iter().map(|s| s.indices.len()).collect();
-            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(hi - lo <= 1, "n={n}: unbalanced {sizes:?}");
-        }
-    }
-
-    #[test]
-    fn sharded_execution_merges_byte_identically_at_any_worker_count() {
-        let exp = expansion();
-        let baseline = CampaignRunner::new(1).run(exp.runs()).unwrap();
-        for n in [1, 2, 4] {
-            let parts: Vec<ShardReport> = exp
-                .shard_all(n)
-                .iter()
-                .map(|shard| shard.execute(&exp, |_| {}))
-                .collect();
-            let merged = merge_reports(&exp, Vec::new(), parts).unwrap();
-            assert_eq!(merged.render(), baseline.render(), "{n} shards");
-            assert_eq!(
-                merged.aggregate_metrics().to_json(),
-                baseline.aggregate_metrics().to_json(),
-                "{n} shards"
-            );
-        }
+    /// Every run of `exp`, split into `n` weighted shards.
+    fn shard_all(exp: &PlanExpansion, n: usize) -> Vec<ShardSpec> {
+        let all: Vec<usize> = (0..exp.len()).collect();
+        exp.shards_weighted(&all, n)
     }
 
     #[test]
     fn merge_rejects_fingerprint_mismatches_and_gaps() {
         let exp = expansion();
-        let mut parts: Vec<ShardReport> = exp
-            .shard_all(2)
+        let mut parts: Vec<ShardReport> = shard_all(&exp, 2)
             .iter()
             .map(|shard| shard.execute(&exp, |_| {}))
             .collect();
@@ -462,7 +402,7 @@ mod tests {
         assert!(err.to_string().contains("1 of 12 runs"), "{err}");
 
         // Refilling the gap via the retry path heals the merge.
-        let assigned = exp.shard_all(2)[1].indices.clone();
+        let assigned = shard_all(&exp, 2)[1].indices.clone();
         let missing = parts[1].missing_from(&assigned);
         assert_eq!(missing.len(), 1);
         let retry = ShardSpec {
@@ -482,7 +422,7 @@ mod tests {
     #[test]
     fn duplicate_records_are_rejected() {
         let exp = expansion();
-        let part = exp.shard_all(1)[0].execute(&exp, |_| {});
+        let part = shard_all(&exp, 1)[0].execute(&exp, |_| {});
         let err = merge_reports(&exp, Vec::new(), vec![part.clone(), part]).unwrap_err();
         assert!(err.to_string().contains("two records"), "{err}");
     }
@@ -552,7 +492,14 @@ mod tests {
     fn weighted_shards_beat_round_robin_on_a_skewed_plan() {
         let exp = skewed_expansion();
         let all: Vec<usize> = (0..exp.len()).collect();
-        let round_robin = exp.shards(&all, 2);
+        // The reference: deal the runs round-robin, balancing counts only.
+        let round_robin: Vec<ShardSpec> = (0..2)
+            .map(|shard| ShardSpec {
+                shard,
+                of: 2,
+                indices: all.iter().copied().skip(shard).step_by(2).collect(),
+            })
+            .collect();
         let weighted = exp.shards_weighted(&all, 2);
         assert!(
             max_load(&exp, &weighted) < max_load(&exp, &round_robin),
@@ -600,7 +547,7 @@ mod tests {
     #[test]
     fn execute_streams_every_record_in_index_order() {
         let exp = expansion();
-        let shard = &exp.shard_all(3)[1];
+        let shard = &shard_all(&exp, 3)[1];
         let mut streamed = Vec::new();
         let report = shard.execute(&exp, |r| streamed.push(r.index));
         assert_eq!(streamed, shard.indices);

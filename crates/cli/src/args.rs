@@ -79,6 +79,14 @@ impl Args {
         self.options.get(name).map(String::as_str)
     }
 
+    /// Every option and flag name given, `--help` excepted.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.options
+            .keys()
+            .chain(self.flags.iter().filter(|f| *f != "help"))
+            .map(String::as_str)
+    }
+
     /// True if the boolean flag `--name` was given.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)

@@ -6,25 +6,30 @@
 //!                  [--metrics] [--metrics-out FILE] [--trace-out FILE]
 //! nonfifo chaos    <protocol> --plan FILE [--seed S] [--messages N]
 //!                  [--crash-tx S] [--crash-rx S] [--retry] [--dump FILE]
-//!                  [--metrics] [--metrics-out FILE] [--trace-out FILE]
+//!                  [--payloads] [--metrics] [--metrics-out FILE]
+//!                  [--trace-out FILE]
 //! nonfifo attack   <protocol> [mf|pf|greedy] [--messages N] [--dump FILE]
 //! nonfifo explore  <protocol> [--messages N] [--depth D] [--pool P]
 //!                  [--max-states M] [--discipline nonfifo|reorder<b>|lossy]
 //!                  [--parallel] [--threads N] [--por] [--differential]
-//!                  [--visited ram|tiered]
-//!                  [--memory-budget BYTES] [--compact-runs N]
-//!                  [--no-shrink] [--metrics]
+//!                  [--corrupt-start SEED] [--visited ram|tiered]
+//!                  [--memory-budget BYTES] [--no-shrink] [--metrics]
 //!                  [--metrics-out FILE] [--trace-out FILE]
 //! nonfifo campaign <plan-file> [--threads N] [--cache FILE]
 //!                  [--metrics-out FILE]
 //! nonfifo serve    [--addr HOST:PORT] [--workers N] [--cache FILE]
 //!                  [--in-process]
 //! nonfifo worker   [--die-after N]
+//! nonfifo stabilize --protocol P [--seeds N] [--severity light|medium|heavy]
+//!                  [--discipline D] [--messages M] [--budget B] [--plan FILE]
 //! nonfifo schedule <protocol> <attack-file> [--diagram]
 //! nonfifo recheck  <trace-file> [--diagram]
 //! nonfifo report   [--exp eN]
 //! nonfifo list
 //! ```
+//!
+//! Each subcommand accepts exactly the options its synopsis in [`USAGE`]
+//! names (plus `--help`); any other option is a usage error.
 //!
 //! Outcome-bearing subcommands (`explore`, `simulate`, `chaos`, `campaign`)
 //! share one exit-code contract, applied in exactly one place
@@ -61,14 +66,14 @@ usage:
   nonfifo chaos    <protocol> --plan FILE [--seed S] [--messages N]
                    [--crash-tx S] [--crash-rx S] [--restore] [--retry]
                    [--backoff B] [--budget B] [--faults] [--dump FILE]
-                   [--metrics] [--metrics-out FILE] [--trace-out FILE]
+                   [--payloads] [--metrics] [--metrics-out FILE]
+                   [--trace-out FILE]
   nonfifo attack   <protocol> [mf|pf|greedy] [--messages N] [--dump FILE]
   nonfifo explore  <protocol> [--messages N] [--depth D] [--pool P]
                    [--max-states M] [--discipline nonfifo|reorder<b>|lossy]
                    [--parallel] [--threads N] [--por] [--differential]
-                   [--visited ram|tiered]
-                   [--memory-budget BYTES] [--compact-runs N]
-                   [--no-shrink] [--metrics]
+                   [--corrupt-start SEED] [--visited ram|tiered]
+                   [--memory-budget BYTES] [--no-shrink] [--metrics]
                    [--metrics-out FILE] [--trace-out FILE]
   nonfifo campaign <plan-file> [--threads N] [--cache FILE]
                    [--metrics-out FILE]
@@ -98,11 +103,7 @@ the default) or tiered (spills sorted disk runs when the resident
 estimate exceeds --memory-budget bytes; reports stay byte-identical to
 ram at any budget). --memory-budget defaults to 1 GiB (2^30 bytes) and
 requires --visited tiered; the effective budget — default or not — is
-always printed in the scope banner. --compact-runs (tiered only,
-default 8) sets how many spilled runs may accumulate before a
-background streaming merge compacts them into one: lower values probe
-fewer runs per level, higher values compact less often. Reports are
-byte-identical at any setting.
+always printed in the scope banner.
 
 telemetry: --metrics prints a summary table; --metrics-out writes the
 schema-versioned metrics JSON; --trace-out writes a Chrome trace_events
@@ -136,22 +137,7 @@ fn main() -> ExitCode {
 }
 
 fn dispatch(raw: Vec<String>) -> Result<(), NonFifoError> {
-    let args = Args::parse(
-        raw,
-        &[
-            "payloads",
-            "diagram",
-            "restore",
-            "retry",
-            "faults",
-            "parallel",
-            "differential",
-            "no-shrink",
-            "por",
-            "metrics",
-            "in-process",
-        ],
-    )?;
+    let args = Args::parse(raw, &value_less_options())?;
     if args.flag("help") {
         let usage = match args.positional(0) {
             None => USAGE.to_string(),
@@ -160,6 +146,15 @@ fn dispatch(raw: Vec<String>) -> Result<(), NonFifoError> {
         };
         print!("{usage}");
         return Ok(());
+    }
+    if let Some(sub) = args.positional(0) {
+        if let Some(accepted) = accepted_options(sub) {
+            if let Some(unknown) = args.names().find(|name| !accepted.contains(name)) {
+                return Err(NonFifoError::Usage(format!(
+                    "{sub} does not take --{unknown}"
+                )));
+            }
+        }
     }
     match args.positional(0) {
         Some("simulate") => cmd_simulate(&args),
@@ -181,16 +176,47 @@ fn dispatch(raw: Vec<String>) -> Result<(), NonFifoError> {
     }
 }
 
-/// One subcommand's part of [`USAGE`]: its synopsis lines plus the notes
-/// paragraphs that open with its name. `None` for an unknown subcommand.
-fn subcommand_usage(sub: &str) -> Option<String> {
+/// One subcommand's synopsis lines in [`USAGE`]: the `nonfifo <sub>` line
+/// and its indented continuations. `None` for an unknown subcommand.
+fn synopsis(sub: &str) -> Option<Vec<&'static str>> {
     let mut lines = USAGE.lines().skip_while(|l| {
         l.strip_prefix("  nonfifo ")
             .and_then(|rest| rest.split_whitespace().next())
             != Some(sub)
     });
-    let mut out = format!("usage:\n{}\n", lines.next()?);
-    for line in lines.take_while(|l| l.starts_with("   ")) {
+    let first = lines.next()?;
+    Some(
+        std::iter::once(first)
+            .chain(lines.take_while(|l| l.starts_with("   ")))
+            .collect(),
+    )
+}
+
+/// The options `sub` accepts: every `--name` its synopsis mentions, so
+/// `--help` and validation cannot drift apart.
+fn accepted_options(sub: &str) -> Option<Vec<&'static str>> {
+    let names = synopsis(sub)?
+        .into_iter()
+        .flat_map(str::split_whitespace)
+        .filter_map(|word| word.trim_start_matches('[').strip_prefix("--"))
+        .map(|rest| rest.trim_end_matches(']'))
+        .collect();
+    Some(names)
+}
+
+/// The options that take no value: every `[--name]` in [`USAGE`].
+fn value_less_options() -> Vec<&'static str> {
+    USAGE
+        .split_whitespace()
+        .filter_map(|word| word.strip_prefix("[--")?.strip_suffix(']'))
+        .collect()
+}
+
+/// One subcommand's part of [`USAGE`]: its synopsis lines plus the notes
+/// paragraphs that open with its name. `None` for an unknown subcommand.
+fn subcommand_usage(sub: &str) -> Option<String> {
+    let mut out = String::from("usage:\n");
+    for line in synopsis(sub)? {
         out.push_str(line);
         out.push('\n');
     }
@@ -582,8 +608,6 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
         None => Discipline::NonFifo,
         Some(s) => s.parse().map_err(ArgsError)?,
     };
-    // `--states` is the historical spelling of `--max-states`.
-    let default_states: usize = args.option_or("states", 500_000)?;
     let corrupt_start = match args.option("corrupt-start") {
         None => None,
         Some(s) => Some(
@@ -595,7 +619,7 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
         max_messages: args.option_or("messages", 3)?,
         max_depth: args.option_or("depth", 12)?,
         max_pool: args.option_or("pool", 5)?,
-        max_states: args.option_or("max-states", default_states)?,
+        max_states: args.option_or("max-states", 500_000)?,
         discipline,
         corrupt_start,
         por: args.flag("por"),
@@ -615,17 +639,6 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
             }
             spec = spec.with_budget(bytes);
             budget_defaulted = false;
-        }
-        if let Some(text) = args.option("compact-runs") {
-            let runs: usize = text.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                ArgsError(format!(
-                    "--compact-runs needs a positive run count, got {text:?}"
-                ))
-            })?;
-            if !matches!(spec, VisitedSpec::Tiered { .. }) {
-                return Err(ArgsError("--compact-runs requires --visited tiered".into()).into());
-            }
-            spec = spec.with_compact_runs(runs);
         }
         (spec, budget_defaulted)
     };
@@ -746,8 +759,8 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
     }
     let visited = explorer.visited_set();
     if visited.spills() > 0 {
-        // Every figure here is deterministic schedule-time accounting, so
-        // this line is byte-identical across thread counts (CI diffs it).
+        // Every figure here is a function of the ordered insert sequence,
+        // so this line is byte-identical across thread counts (CI diffs it).
         println!(
             "visited: {} spill(s), {} bytes on disk in {} run(s), {} bytes of \
              spill I/O, peak {} bytes resident (budget {})",
@@ -757,7 +770,7 @@ fn cmd_explore(args: &Args) -> Result<(), NonFifoError> {
             visited.compaction_bytes(),
             visited.peak_memory_bytes(),
             match spec {
-                VisitedSpec::Tiered { memory_budget, .. } => memory_budget,
+                VisitedSpec::Tiered { memory_budget } => memory_budget,
                 VisitedSpec::Ram => 0,
             },
         );
@@ -1136,6 +1149,31 @@ mod tests {
             }),
             5
         );
+    }
+
+    #[test]
+    fn accepted_options_come_from_the_synopsis() {
+        let explore = accepted_options("explore").unwrap();
+        for name in ["threads", "corrupt-start", "memory-budget", "trace-out"] {
+            assert!(explore.contains(&name), "explore takes --{name}");
+        }
+        assert!(!explore.contains(&"states"), "the --states alias is gone");
+        assert!(accepted_options("chaos").unwrap().contains(&"payloads"));
+        assert!(accepted_options("report").unwrap() == ["exp"]);
+        assert!(accepted_options("list").unwrap().is_empty());
+        assert!(accepted_options("warbler").is_none());
+        let flags = value_less_options();
+        for name in [
+            "parallel",
+            "por",
+            "no-shrink",
+            "metrics",
+            "in-process",
+            "payloads",
+        ] {
+            assert!(flags.contains(&name), "--{name} takes no value");
+        }
+        assert!(!flags.contains(&"threads") && !flags.contains(&"metrics-out"));
     }
 
     #[test]

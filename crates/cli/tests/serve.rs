@@ -7,7 +7,7 @@
 
 use nonfifo_campaign::{
     CampaignPlan, CampaignRunner, CampaignService, PlanExpansion, ServiceConfig, ShardRecord,
-    WireMsg,
+    WireMsg, MAX_HEAD_BYTES,
 };
 use nonfifo_telemetry::Json;
 use std::io::{Read, Write};
@@ -114,7 +114,8 @@ fn killed_workers_are_retried_to_a_byte_identical_report() {
 fn worker_subcommand_speaks_the_wire_protocol_over_its_pipes() {
     let plan = CampaignPlan::parse(PLAN).unwrap();
     let expansion = PlanExpansion::of_plan(&plan).unwrap();
-    let shard = &expansion.shard_all(2)[1];
+    let all: Vec<usize> = (0..expansion.len()).collect();
+    let shard = &expansion.shards_weighted(&all, 2)[1];
 
     let mut child = Command::new(BIN)
         .arg("worker")
@@ -366,6 +367,14 @@ fn absurd_content_lengths_are_refused_and_the_daemon_survives() {
         "POST /campaign HTTP/1.1\r\nContent-Length: lots\r\n\r\n",
     );
     assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+    // A head that has not ended within the cap is a 431. Exactly the cap
+    // is sent, so the daemon reads every byte before it answers and the
+    // close carries no unread data.
+    let mut oversized = String::from("GET /healthz HTTP/1.1\r\nX-Filler: ");
+    oversized.extend(std::iter::repeat_n('a', MAX_HEAD_BYTES - oversized.len()));
+    let (head, body) = raw_http(&addr, &oversized);
+    assert!(head.starts_with("HTTP/1.1 431"), "{head}");
+    assert!(body.contains("request head exceeds"), "{body}");
 
     let (head, body) = http(&addr, "GET", "/healthz", "");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");

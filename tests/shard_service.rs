@@ -42,7 +42,7 @@ fn batch_baseline() -> (String, String) {
 
 /// A deterministic "random" partition: assigns index `i` to shard
 /// `xorshift(seed, i) % k`, allowing empty and wildly unbalanced shards —
-/// shapes the round-robin splitter never produces.
+/// shapes the weighted splitter never produces.
 fn scrambled_partition(len: usize, k: usize, seed: u64) -> Vec<ShardSpec> {
     let mut shards: Vec<ShardSpec> = (0..k)
         .map(|shard| ShardSpec {
@@ -62,18 +62,19 @@ fn scrambled_partition(len: usize, k: usize, seed: u64) -> Vec<ShardSpec> {
     shards
 }
 
-/// Property: ANY partition of the expansion — round-robin or scrambled,
+/// Property: ANY partition of the expansion — cost-weighted or scrambled,
 /// balanced or degenerate, executed and merged in any shard order —
 /// reassembles byte-identically to the single-process batch report.
 #[test]
 fn arbitrary_partitions_merge_byte_identically() {
     let exp = expansion();
     let (render, aggregate) = batch_baseline();
+    let all: Vec<usize> = (0..exp.len()).collect();
     let cases: Vec<Vec<ShardSpec>> = vec![
-        exp.shard_all(1),
-        exp.shard_all(2),
-        exp.shard_all(4),
-        exp.shard_all(exp.len()),
+        exp.shards_weighted(&all, 1),
+        exp.shards_weighted(&all, 2),
+        exp.shards_weighted(&all, 4),
+        exp.shards_weighted(&all, exp.len()),
         scrambled_partition(exp.len(), 3, 0x9e37),
         scrambled_partition(exp.len(), 5, 0xc2b2),
         scrambled_partition(exp.len(), 2, 0x1234_5678),
@@ -135,7 +136,8 @@ fn service_reports_are_worker_count_invariant() {
 fn lost_records_are_named_and_retry_heals_byte_identically() {
     let exp = expansion();
     let (render, _) = batch_baseline();
-    let shards = exp.shard_all(3);
+    let all: Vec<usize> = (0..exp.len()).collect();
+    let shards = exp.shards_weighted(&all, 3);
     let mut parts: Vec<_> = shards.iter().map(|s| s.execute(&exp, |_| {})).collect();
 
     // Drop a prefix of shard 1 and a suffix of shard 2 — two different
