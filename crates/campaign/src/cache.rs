@@ -15,7 +15,8 @@
 use crate::runner::{RunOutcome, RunRecord};
 use crate::spec::RunSpec;
 use nonfifo_core::NonFifoError;
-use nonfifo_telemetry::{Json, MetricsSnapshot};
+use nonfifo_telemetry::json::{self, Json};
+use nonfifo_telemetry::MetricsSnapshot;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -43,25 +44,50 @@ pub struct CachedRun {
 }
 
 impl CachedRun {
-    /// The run as a [`Json`] object. This is the one serialization of a
-    /// completed run in the workspace: the cache file embeds it per entry
-    /// and the service wire protocol ships it per `run` message, so the
-    /// two layers cannot drift apart.
-    pub fn to_json_value(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "outcome".to_string(),
-                Json::Str(self.outcome.as_str().to_string()),
-            ),
-            ("fingerprint".to_string(), Json::Uint(self.fingerprint)),
-            ("steps".to_string(), Json::Uint(self.steps)),
-            ("fwd_sends".to_string(), Json::Uint(self.fwd_sends)),
-            ("delivered".to_string(), Json::Uint(self.delivered)),
-            ("metrics".to_string(), self.metrics.to_json_value()),
-        ])
+    /// Appends the run as a JSON object. This is the one serialization of
+    /// a completed run in the workspace: the cache file embeds it per
+    /// entry and the service wire protocol ships it per `run` message, so
+    /// the two layers cannot drift apart.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push('{');
+        self.write_fields(out);
+        out.push('}');
     }
 
-    /// Parses a value written by [`to_json_value`](CachedRun::to_json_value).
+    /// The object's fields without the braces, so the cache file can put
+    /// its `key` in front of them.
+    fn write_fields(&self, out: &mut String) {
+        out.push_str("\"outcome\":");
+        json::write_str(out, self.outcome.as_str());
+        for (key, n) in [
+            (",\"fingerprint\":", self.fingerprint),
+            (",\"steps\":", self.steps),
+            (",\"fwd_sends\":", self.fwd_sends),
+            (",\"delivered\":", self.delivered),
+        ] {
+            out.push_str(key);
+            json::write_u64(out, n);
+        }
+        out.push_str(",\"metrics\":");
+        self.metrics.write_json(out);
+    }
+
+    /// The full record this run answers for `spec`.
+    pub fn into_record(self, spec: RunSpec, cached: bool) -> RunRecord {
+        RunRecord {
+            spec,
+            outcome: self.outcome,
+            fingerprint: self.fingerprint,
+            steps: self.steps,
+            fwd_sends: self.fwd_sends,
+            delivered: self.delivered,
+            metrics: self.metrics,
+            cached,
+        }
+    }
+
+    /// Parses a run object as the cache file and the `run` wire message
+    /// embed it.
     ///
     /// # Errors
     ///
@@ -139,45 +165,29 @@ impl CampaignCache {
     /// marked `cached`.
     pub fn lookup(&self, spec: &RunSpec) -> Option<RunRecord> {
         let hit = self.entries.get(&spec.fingerprint())?;
-        Some(RunRecord {
-            spec: spec.clone(),
-            outcome: hit.outcome,
-            fingerprint: hit.fingerprint,
-            steps: hit.steps,
-            fwd_sends: hit.fwd_sends,
-            delivered: hit.delivered,
-            metrics: hit.metrics.clone(),
-            cached: true,
-        })
+        Some(hit.clone().into_record(spec.clone(), true))
     }
 
-    /// Stores `record` under `spec`'s key.
-    pub fn insert(&mut self, spec: &RunSpec, record: &RunRecord) {
-        self.entries.insert(spec.fingerprint(), record.into());
+    /// Stores `record` under its spec's key.
+    pub fn insert(&mut self, record: RunRecord) {
+        self.entries
+            .insert(record.spec.fingerprint(), record.into());
     }
 
     /// Serializes the cache as a compact JSON document.
     pub fn to_json(&self) -> String {
-        let entries: Vec<Json> = self
-            .entries
-            .iter()
-            .map(|(&key, run)| {
-                let mut fields = vec![("key".to_string(), Json::Uint(key))];
-                match run.to_json_value() {
-                    Json::Obj(rest) => fields.extend(rest),
-                    _ => unreachable!("CachedRun serializes as an object"),
-                }
-                Json::Obj(fields)
-            })
-            .collect();
-        Json::Obj(vec![
-            (
-                "schema_version".to_string(),
-                Json::Uint(CACHE_SCHEMA_VERSION),
-            ),
-            ("entries".to_string(), Json::Arr(entries)),
-        ])
-        .to_string()
+        let mut out = String::from("{\"schema_version\":");
+        json::write_u64(&mut out, CACHE_SCHEMA_VERSION);
+        out.push_str(",\"entries\":[");
+        for (i, (&key, run)) in self.entries.iter().enumerate() {
+            out.push_str(if i > 0 { ",{\"key\":" } else { "{\"key\":" });
+            json::write_u64(&mut out, key);
+            out.push(',');
+            run.write_fields(&mut out);
+            out.push('}');
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Parses a document produced by [`to_json`](CampaignCache::to_json).
@@ -283,11 +293,12 @@ impl SharedCache {
         self.len() == 0
     }
 
-    /// Stores a batch of fresh records under one write-lock acquisition.
-    pub fn insert_all<'a>(&self, records: impl IntoIterator<Item = (&'a RunSpec, &'a RunRecord)>) {
+    /// Stores a batch of fresh records, moved in, under one write-lock
+    /// acquisition.
+    pub fn insert_all(&self, records: impl IntoIterator<Item = RunRecord>) {
         let mut cache = self.inner.write().expect("cache lock poisoned");
-        for (spec, record) in records {
-            cache.insert(spec, record);
+        for record in records {
+            cache.insert(record);
         }
     }
 
@@ -368,8 +379,10 @@ mod tests {
         let (runs, cache) = populated();
         for spec in &runs {
             let record = cache.lookup(spec).unwrap();
-            let run = CachedRun::from(&record);
-            let back = CachedRun::from_json_value(&run.to_json_value()).unwrap();
+            let run = CachedRun::from(record);
+            let mut text = String::new();
+            run.write_json(&mut text);
+            let back = CachedRun::from_json_value(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, run);
         }
     }
@@ -394,7 +407,7 @@ mod tests {
             .message_counts(&[3])
             .expand();
         let record = CampaignRunner::new(1).run(&extra).unwrap().records[0].clone();
-        shared.insert_all([(&extra[0], &record)]);
+        shared.insert_all([record]);
         assert!(clone.lookup(&extra[0]).is_some());
         assert_eq!(clone.len(), runs.len() + 1);
     }

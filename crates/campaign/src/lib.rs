@@ -67,7 +67,7 @@ mod spec;
 mod wire;
 
 pub use cache::{CacheError, CachedRun, CampaignCache, SharedCache, CACHE_SCHEMA_VERSION};
-pub use plan::{CampaignPlan, CampaignPlanError, PLAN_SCHEMA_VERSION};
+pub use plan::{CampaignPlan, CampaignPlanError, MAX_PLAN_RUNS, PLAN_SCHEMA_VERSION};
 pub use runner::{CampaignReport, CampaignRunner, RunOutcome, RunRecord};
 pub use service::{run_worker, CampaignService, ServiceConfig, MAX_HEAD_BYTES};
 pub use shard::{cost_weight, merge_reports, PlanExpansion, ShardRecord, ShardReport, ShardSpec};

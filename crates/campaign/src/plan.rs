@@ -40,6 +40,12 @@ use std::fmt;
 /// keeps accepting every older version.
 pub const PLAN_SCHEMA_VERSION: u64 = 1;
 
+/// The most runs one plan may expand to. Expansion materializes every run
+/// spec at once, so a plan past this is refused while it is parsed, before
+/// anything is allocated for its runs. Every plan this repository ships is
+/// far below it.
+pub const MAX_PLAN_RUNS: u64 = 1_000_000;
+
 /// A parsed campaign plan: an ordered list of scenarios.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignPlan {
@@ -90,7 +96,9 @@ struct Draft {
 }
 
 impl Draft {
-    fn finish(self) -> Result<ScenarioSpec, CampaignPlanError> {
+    /// Validates the scenario and adds its run count to `total_runs`, the
+    /// plan's running total, in checked arithmetic.
+    fn finish(self, total_runs: &mut u64) -> Result<ScenarioSpec, CampaignPlanError> {
         let mut spec = self.spec;
         for (axis, empty) in [
             ("protocols", spec.protocols.is_empty()),
@@ -104,6 +112,19 @@ impl Draft {
                 ));
             }
         }
+        *total_runs = spec
+            .run_count()
+            .and_then(|runs| total_runs.checked_add(runs))
+            .filter(|&total| total <= MAX_PLAN_RUNS)
+            .ok_or_else(|| {
+                err(
+                    self.opened_at,
+                    format!(
+                        "scenario {:?} takes the plan past the limit of {MAX_PLAN_RUNS} runs",
+                        spec.name
+                    ),
+                )
+            })?;
         if !self.fault_lines.is_empty() {
             let text: Vec<&str> = self.fault_lines.iter().map(|(_, t)| t.as_str()).collect();
             let plan = FaultPlan::parse(&text.join("\n")).map_err(|e| {
@@ -125,10 +146,12 @@ impl CampaignPlan {
     /// Returns a [`CampaignPlanError`] naming the offending line: unknown
     /// directives, directives before any `scenario` line, unknown protocol
     /// or discipline spellings, malformed numbers or seed ranges, duplicate
-    /// scenario names, scenarios with an empty axis, and plans with no
-    /// scenario at all.
+    /// scenario names, scenarios with an empty axis, plans with no
+    /// scenario at all, and plans that expand to more than
+    /// [`MAX_PLAN_RUNS`] runs (named at the scenario that crosses it).
     pub fn parse(text: &str) -> Result<CampaignPlan, CampaignPlanError> {
         let mut scenarios: Vec<ScenarioSpec> = Vec::new();
+        let mut total_runs = 0u64;
         let mut draft: Option<Draft> = None;
         let mut schema_version: Option<u64> = None;
         for (idx, raw) in text.lines().enumerate() {
@@ -180,7 +203,7 @@ impl CampaignPlan {
                     return Err(err(line, format!("duplicate scenario name {name:?}")));
                 }
                 if let Some(done) = draft.take() {
-                    scenarios.push(done.finish()?);
+                    scenarios.push(done.finish(&mut total_runs)?);
                 }
                 draft = Some(Draft {
                     opened_at: line,
@@ -282,7 +305,7 @@ impl CampaignPlan {
             }
         }
         if let Some(done) = draft.take() {
-            scenarios.push(done.finish()?);
+            scenarios.push(done.finish(&mut total_runs)?);
         }
         if scenarios.is_empty() {
             return Err(err(1, "plan declares no scenario"));
@@ -406,12 +429,38 @@ fault drop 0.05
                 2,
                 "before the first scenario",
             ),
+            (
+                "scenario a\nprotocols abp\ndisciplines fifo\nmessages 5\nseeds 0..4000000000",
+                1,
+                "past the limit of 1000000 runs",
+            ),
+            (
+                "scenario a\nprotocols abp\ndisciplines fifo\nmessages 5\nseeds 0..600000\n\
+                 scenario b\nprotocols abp\ndisciplines fifo\nmessages 5\nseeds 0..600000",
+                6,
+                "scenario \"b\" takes the plan past",
+            ),
+            (
+                "scenario a\nprotocols abp seqnum\ndisciplines fifo\nmessages 5\n\
+                 seeds 0..18446744073709551615",
+                1,
+                "past the limit",
+            ),
         ];
         for (text, line, needle) in cases {
             let e = CampaignPlan::parse(text).unwrap_err();
             assert_eq!(e.line, *line, "{text:?}: {e}");
             assert!(e.to_string().contains(needle), "{text:?}: {e}");
         }
+    }
+
+    #[test]
+    fn a_plan_exactly_at_the_run_limit_parses() {
+        let plan = CampaignPlan::parse(&format!(
+            "scenario a\nprotocols abp\ndisciplines fifo\nmessages 5\nseeds 0..{MAX_PLAN_RUNS}\n"
+        ))
+        .unwrap();
+        assert_eq!(plan.scenarios[0].run_count(), Some(MAX_PLAN_RUNS));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! records are indistinguishable from fresh ones in every report artifact.
 
 use crate::cache::{CachedRun, CampaignCache};
-use crate::shard::{merge_reports, PlanExpansion, ShardReport};
+use crate::shard::{merge_reports, PlanExpansion, ShardRecord, ShardReport};
 use crate::spec::RunSpec;
 use nonfifo_adversary::ChunkCursor;
 use nonfifo_channel::CorruptionSeverity;
@@ -165,7 +165,7 @@ impl CampaignRunner {
         let part = self.execute(&expansion, &to_run);
         let report = merge_reports(&expansion, cached, vec![part])?;
         for record in report.records.iter().filter(|r| !r.cached) {
-            cache.insert(&record.spec, record);
+            cache.insert(record.clone());
         }
         Ok(report)
     }
@@ -181,7 +181,7 @@ impl CampaignRunner {
     pub fn execute(&self, expansion: &PlanExpansion, indices: &[usize]) -> ShardReport {
         let runs = expansion.runs();
         let workers = self.threads.min(indices.len()).max(1);
-        let mut fresh: Vec<(usize, RunRecord)> = if indices.is_empty() {
+        let mut fresh: Vec<(usize, CachedRun)> = if indices.is_empty() {
             Vec::new()
         } else if workers == 1 {
             indices
@@ -212,12 +212,23 @@ impl CampaignRunner {
             })
         };
         fresh.sort_unstable_by_key(|(i, _)| *i);
-        ShardReport::from_records(0, &fresh)
+        ShardReport {
+            shard: 0,
+            records: fresh
+                .into_iter()
+                .map(|(index, run)| ShardRecord {
+                    index,
+                    spec_fingerprint: runs[index].fingerprint(),
+                    run,
+                })
+                .collect(),
+        }
     }
 }
 
-/// Executes one validated spec on the calling thread.
-pub(crate) fn execute_one(spec: &RunSpec) -> RunRecord {
+/// Executes one validated spec on the calling thread. The result carries
+/// no copy of the spec: the caller addresses it by index and fingerprint.
+pub(crate) fn execute_one(spec: &RunSpec) -> CachedRun {
     let proto = catalog::by_name(&spec.protocol).expect("specs are validated before dispatch");
     if let Some(severity) = spec.corruption {
         return execute_corrupted(spec, proto, severity);
@@ -262,15 +273,13 @@ pub(crate) fn execute_one(spec: &RunSpec) -> RunRecord {
             counter("sim.messages.received"),
         ),
     };
-    RunRecord {
-        spec: spec.clone(),
+    CachedRun {
         outcome,
         fingerprint,
         steps,
         fwd_sends,
         delivered,
         metrics,
-        cached: false,
     }
 }
 
@@ -285,7 +294,7 @@ fn execute_corrupted(
     spec: &RunSpec,
     proto: Box<dyn DataLink>,
     severity: CorruptionSeverity,
-) -> RunRecord {
+) -> CachedRun {
     let stab_cfg = StabilizeConfig {
         severity,
         discipline: spec.discipline.clone(),
@@ -306,8 +315,7 @@ fn execute_corrupted(
         .filter(|m| sim.delivered_payloads().contains(m))
         .count() as u64;
     let metrics = registry.snapshot();
-    RunRecord {
-        spec: spec.clone(),
+    CachedRun {
         outcome: match outcome.verdict {
             SeedVerdict::Converged { .. } => RunOutcome::Delivered,
             SeedVerdict::Diverged { .. } => RunOutcome::Diverged,
@@ -318,19 +326,18 @@ fn execute_corrupted(
         fwd_sends: metrics.counters.get("chan.fwd.sends").copied().unwrap_or(0),
         delivered,
         metrics,
-        cached: false,
     }
 }
 
-impl From<&RunRecord> for CachedRun {
-    fn from(r: &RunRecord) -> Self {
+impl From<RunRecord> for CachedRun {
+    fn from(r: RunRecord) -> Self {
         CachedRun {
             outcome: r.outcome,
             fingerprint: r.fingerprint,
             steps: r.steps,
             fwd_sends: r.fwd_sends,
             delivered: r.delivered,
-            metrics: r.metrics.clone(),
+            metrics: r.metrics,
         }
     }
 }

@@ -192,22 +192,13 @@ impl CampaignService {
             .set(expansion.shard_imbalance_pct(&shards));
 
         let sink: Sink<'_> = Mutex::new(sink);
-        let raw_parts: Vec<(ShardSpec, Vec<ShardRecord>)> = std::thread::scope(|scope| {
+        let finished: Vec<(ShardReport, usize)> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
                 .map(|shard| {
                     let expansion = &expansion;
                     let sink = &sink;
-                    scope.spawn(move || {
-                        let records = if self.cfg.worker_command.is_empty() {
-                            shard
-                                .execute(expansion, |r| emit(sink, &WireMsg::run_delta(r)))
-                                .records
-                        } else {
-                            self.drive_worker(plan_text, shard, sink)
-                        };
-                        (shard.clone(), records)
-                    })
+                    scope.spawn(move || self.run_shard(plan_text, expansion, shard, sink))
                 })
                 .collect();
             handles
@@ -215,55 +206,17 @@ impl CampaignService {
                 .map(|h| h.join().expect("shard driver panicked"))
                 .collect()
         });
-
-        // Fill any gaps a dead or drifting worker left, then emit each
-        // shard's metrics delta (per-run snapshots merged in index order).
-        let mut parts = Vec::with_capacity(raw_parts.len());
-        let mut retried = 0usize;
-        for (shard, records) in raw_parts {
-            let mut part = ShardReport {
-                shard: shard.shard,
-                records,
-            };
-            let missing = part.missing_from(&shard.indices);
-            if !missing.is_empty() {
-                retried += missing.len();
-                let refill = ShardSpec {
-                    shard: shard.shard,
-                    of: shard.of,
-                    indices: missing,
-                }
-                .execute(&expansion, |r| emit(&sink, &WireMsg::run_delta(r)));
-                part.records.extend(refill.records);
-                part.records.sort_unstable_by_key(|r| r.index);
-            }
-            let mut delta = MetricsSnapshot {
-                schema_version: SCHEMA_VERSION,
-                ..MetricsSnapshot::default()
-            };
-            for record in &part.records {
-                delta.merge_from(&record.run.metrics);
-            }
-            emit(
-                &sink,
-                &WireMsg::Metrics {
-                    shard: shard.shard as u64,
-                    snapshot: delta,
-                },
-            );
-            parts.push(part);
-        }
+        let retried: usize = finished.iter().map(|(_, retried)| retried).sum();
+        let parts = finished.into_iter().map(|(part, _)| part).collect();
 
         let cache_hits = cached.len();
         let fresh = expansion.len() - cache_hits;
         let report = merge_reports(&expansion, cached, parts)?;
-        self.cache.insert_all(
-            report
-                .records
-                .iter()
-                .filter(|r| !r.cached)
-                .map(|r| (&r.spec, r)),
-        );
+        let render = report.render();
+        let aggregate = report.aggregate_metrics();
+        // The report is rendered, so its fresh records move into the cache.
+        self.cache
+            .insert_all(report.records.into_iter().filter(|r| !r.cached));
         if let Some(path) = &self.cfg.cache_path {
             if fresh > 0 {
                 self.cache.save(path)?;
@@ -273,7 +226,7 @@ impl CampaignService {
         self.registry.counter("service.campaigns_total").inc();
         self.registry
             .counter("service.runs_total")
-            .add(report.records.len() as u64);
+            .add(expansion.len() as u64);
         self.registry
             .counter("service.cache_hits")
             .add(cache_hits as u64);
@@ -288,10 +241,59 @@ impl CampaignService {
         self.registry.gauge("service.active_workers").set(0);
 
         Ok(WireMsg::Report {
-            render: report.render(),
+            render,
             cache_hits: cache_hits as u64,
-            aggregate: report.aggregate_metrics(),
+            aggregate,
         })
+    }
+
+    /// One shard, start to finish, on its own thread: execute it (in a
+    /// worker process or in-process), re-execute in-process whatever a
+    /// dead or drifting worker left out, then emit the shard's metrics
+    /// delta (its per-run snapshots merged in index order). Returns the
+    /// complete shard report and how many runs were re-executed.
+    fn run_shard(
+        &self,
+        plan: &str,
+        expansion: &PlanExpansion,
+        shard: &ShardSpec,
+        sink: &Sink<'_>,
+    ) -> (ShardReport, usize) {
+        let mut part = if self.cfg.worker_command.is_empty() {
+            shard.execute(expansion, |msg| emit(sink, msg))
+        } else {
+            ShardReport {
+                shard: shard.shard,
+                records: self.drive_worker(plan, shard, sink),
+            }
+        };
+        let missing = part.missing_from(&shard.indices);
+        let retried = missing.len();
+        if !missing.is_empty() {
+            let refill = ShardSpec {
+                shard: shard.shard,
+                of: shard.of,
+                indices: missing,
+            }
+            .execute(expansion, |msg| emit(sink, msg));
+            part.records.extend(refill.records);
+            part.records.sort_unstable_by_key(|r| r.index);
+        }
+        let mut delta = MetricsSnapshot {
+            schema_version: SCHEMA_VERSION,
+            ..MetricsSnapshot::default()
+        };
+        for record in &part.records {
+            delta.merge_from(&record.run.metrics);
+        }
+        emit(
+            sink,
+            &WireMsg::Metrics {
+                shard: shard.shard as u64,
+                snapshot: delta,
+            },
+        );
+        (part, retried)
     }
 
     /// Spawns one worker process, hands it its shard, and collects the
@@ -326,14 +328,13 @@ impl CampaignService {
                 let Ok(msg) = WireMsg::parse_line(&line) else {
                     break;
                 };
-                if let Some(record) = msg.clone().into_shard_record() {
-                    emit(sink, &msg);
-                    records.push(record);
-                } else {
+                if !matches!(msg, WireMsg::Run { .. }) {
                     // An Error (or any non-Run) line means the worker gave
                     // up on the rest of its shard.
                     break;
                 }
+                emit(sink, &msg);
+                records.extend(msg.into_shard_record());
             }
         }
         let _ = child.wait();
@@ -498,8 +499,11 @@ impl CampaignService {
             return;
         }
         let result = {
+            let mut line = String::new();
             let mut sink = |msg: &WireMsg| {
-                let _ = writer.write_all(msg.to_line().as_bytes());
+                line.clear();
+                msg.write_line(&mut line);
+                let _ = writer.write_all(line.as_bytes());
                 let _ = writer.flush();
             };
             self.run_campaign(&plan_text, workers, &mut sink)
@@ -599,9 +603,12 @@ pub fn run_worker(
         indices,
     };
     let mut emitted = 0u64;
-    spec.execute(&expansion, |record| {
+    let mut line = String::new();
+    spec.execute(&expansion, |msg| {
+        line.clear();
+        msg.write_line(&mut line);
         output
-            .write_all(WireMsg::run_delta(record).to_line().as_bytes())
+            .write_all(line.as_bytes())
             .expect("worker stdout closed");
         output.flush().expect("worker stdout closed");
         emitted += 1;

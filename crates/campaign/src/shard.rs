@@ -19,6 +19,7 @@ use crate::cache::{CachedRun, CampaignCache};
 use crate::plan::CampaignPlan;
 use crate::runner::{execute_one, CampaignReport, RunRecord};
 use crate::spec::RunSpec;
+use crate::wire::WireMsg;
 use nonfifo_core::NonFifoError;
 use nonfifo_protocols::catalog;
 
@@ -182,9 +183,11 @@ pub struct ShardSpec {
 
 impl ShardSpec {
     /// Executes the shard's runs in index order on the calling thread,
-    /// invoking `sink` after each — the streaming hook the worker process
-    /// uses to emit a wire record per completed run. Returns the complete
-    /// shard report.
+    /// handing `sink` a [`WireMsg::Run`] after each — the streaming hook
+    /// the service and the worker process use to emit a wire line per
+    /// completed run. Each record moves into its message and back out
+    /// again, so streaming copies nothing. Returns the complete shard
+    /// report.
     ///
     /// # Panics
     ///
@@ -193,19 +196,18 @@ impl ShardSpec {
     pub fn execute(
         &self,
         expansion: &PlanExpansion,
-        mut sink: impl FnMut(&ShardRecord),
+        mut sink: impl FnMut(&WireMsg),
     ) -> ShardReport {
         let mut records = Vec::with_capacity(self.indices.len());
         for &index in &self.indices {
             let spec = &expansion.runs()[index];
-            let record = execute_one(spec);
-            let shard_record = ShardRecord {
+            let msg = WireMsg::from(ShardRecord {
                 index,
                 spec_fingerprint: spec.fingerprint(),
-                run: CachedRun::from(&record),
-            };
-            sink(&shard_record);
-            records.push(shard_record);
+                run: execute_one(spec),
+            });
+            sink(&msg);
+            records.push(msg.into_shard_record().expect("a Run message"));
         }
         ShardReport {
             shard: self.shard,
@@ -237,22 +239,6 @@ pub struct ShardReport {
 }
 
 impl ShardReport {
-    /// Wraps already-executed records (the batch runner's thread pool
-    /// produces `RunRecord`s directly) as a shard report.
-    pub fn from_records(shard: usize, records: &[(usize, RunRecord)]) -> ShardReport {
-        ShardReport {
-            shard,
-            records: records
-                .iter()
-                .map(|(index, record)| ShardRecord {
-                    index: *index,
-                    spec_fingerprint: record.spec.fingerprint(),
-                    run: CachedRun::from(record),
-                })
-                .collect(),
-        }
-    }
-
     /// The indices this report covers that `assigned` expected but did not
     /// get — what the daemon re-dispatches when a worker dies mid-shard.
     pub fn missing_from(&self, assigned: &[usize]) -> Vec<usize> {
@@ -265,7 +251,8 @@ impl ShardReport {
 }
 
 /// Stage 3: reassembles cache replays and shard records into one
-/// [`CampaignReport`], in input order.
+/// [`CampaignReport`], in input order. Records are moved into their slots,
+/// never copied.
 ///
 /// The merge is *fingerprint-keyed*: a shard record only fills slot `i` if
 /// its `spec_fingerprint` equals the fingerprint of the spec at `i`. With
@@ -294,8 +281,8 @@ pub fn merge_reports(
         }
         *slot = Some(record);
     }
-    for part in &parts {
-        for record in &part.records {
+    for part in parts {
+        for record in part.records {
             let index = record.index;
             let spec = expansion
                 .runs()
@@ -317,17 +304,7 @@ pub fn merge_reports(
             if slot.is_some() {
                 return Err(merge_err(format!("two records for run {index}")));
             }
-            let run = &record.run;
-            *slot = Some(RunRecord {
-                spec,
-                outcome: run.outcome,
-                fingerprint: run.fingerprint,
-                steps: run.steps,
-                fwd_sends: run.fwd_sends,
-                delivered: run.delivered,
-                metrics: run.metrics.clone(),
-                cached: false,
-            });
+            *slot = Some(record.run.into_record(spec, false));
         }
     }
     let missing = slots.iter().filter(|s| s.is_none()).count();
@@ -549,7 +526,11 @@ mod tests {
         let exp = expansion();
         let shard = &shard_all(&exp, 3)[1];
         let mut streamed = Vec::new();
-        let report = shard.execute(&exp, |r| streamed.push(r.index));
+        let report = shard.execute(&exp, |msg| {
+            if let WireMsg::Run { index, .. } = msg {
+                streamed.push(*index as usize);
+            }
+        });
         assert_eq!(streamed, shard.indices);
         assert_eq!(report.records.len(), shard.indices.len());
         assert!(report.missing_from(&shard.indices).is_empty());

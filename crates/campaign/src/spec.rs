@@ -130,6 +130,19 @@ impl ScenarioSpec {
         self
     }
 
+    /// How many runs [`expand`](Self::expand) would produce, without
+    /// producing them; `None` if the count does not fit in a `u64`.
+    pub fn run_count(&self) -> Option<u64> {
+        let seeds = self.seeds.end.saturating_sub(self.seeds.start);
+        [
+            self.protocols.len(),
+            self.disciplines.len(),
+            self.message_counts.len(),
+        ]
+        .into_iter()
+        .try_fold(seeds, |runs, axis| runs.checked_mul(axis as u64))
+    }
+
     /// Expands the cross product in declaration order: protocol, then
     /// discipline, then message count, then seed.
     pub fn expand(&self) -> Vec<RunSpec> {

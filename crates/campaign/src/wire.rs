@@ -2,10 +2,13 @@
 //! by the worker stdin/stdout pipe and the HTTP front end.
 //!
 //! Every message is a single JSON object on one line (newline-delimited
-//! JSON), built with the hand-rolled [`Json`] value from
-//! `nonfifo-telemetry` — insertion-ordered objects, exact integer
-//! variants — so encodings are byte-stable and diffable like every other
-//! artifact in this repo. Every message carries a `"v"` schema field with
+//! JSON) with a fixed field order and exact integers, so encodings are
+//! byte-stable and diffable like every other artifact in this repo. Each
+//! type has one streaming encoder (`WireMsg::write_line`,
+//! `CachedRun::write_json`, [`MetricsSnapshot::write_json`]) that appends
+//! straight to a `String` through the `nonfifo-telemetry` JSON scalar
+//! writers; decoding parses into a [`Json`] tree and reads the typed
+//! message out of it. Every message carries a `"v"` schema field with
 //! the same forward-compat contract as the cache file and
 //! [`MetricsSnapshot`]: a reader rejects versions newer than it knows
 //! rather than guessing.
@@ -25,7 +28,8 @@
 
 use crate::cache::CachedRun;
 use crate::shard::{ShardRecord, ShardSpec};
-use nonfifo_telemetry::{Json, MetricsSnapshot};
+use nonfifo_telemetry::json::{self, Json};
+use nonfifo_telemetry::MetricsSnapshot;
 use std::fmt;
 
 /// Version of the wire encoding this build speaks.
@@ -125,16 +129,23 @@ impl WireMsg {
         }
     }
 
-    /// Encodes the message as a [`Json`] object (versioned, type-tagged).
-    pub fn to_json_value(&self) -> Json {
-        let mut fields = vec![
-            ("v".to_string(), Json::Uint(WIRE_SCHEMA_VERSION)),
-            ("type".to_string(), Json::Str(self.kind().to_string())),
-        ];
+    /// Appends the message to `out` as one newline-terminated NDJSON
+    /// line: a versioned, type-tagged object. JSON string escaping keeps
+    /// embedded newlines (plan documents, rendered tables) on the one line.
+    pub(crate) fn write_line(&self, out: &mut String) {
+        out.push_str("{\"v\":");
+        json::write_u64(out, WIRE_SCHEMA_VERSION);
+        out.push_str(",\"type\":");
+        json::write_str(out, self.kind());
+        let uint = |out: &mut String, key: &str, n: u64| {
+            out.push_str(key);
+            json::write_u64(out, n);
+        };
         match self {
             WireMsg::Submit { plan, workers } => {
-                fields.push(("plan".to_string(), Json::Str(plan.clone())));
-                fields.push(("workers".to_string(), Json::Uint(*workers)));
+                out.push_str(",\"plan\":");
+                json::write_str(out, plan);
+                uint(out, ",\"workers\":", *workers);
             }
             WireMsg::Shard {
                 plan,
@@ -142,52 +153,64 @@ impl WireMsg {
                 of,
                 indices,
             } => {
-                fields.push(("plan".to_string(), Json::Str(plan.clone())));
-                fields.push(("shard".to_string(), Json::Uint(*shard)));
-                fields.push(("of".to_string(), Json::Uint(*of)));
-                fields.push((
-                    "indices".to_string(),
-                    Json::Arr(indices.iter().map(|&i| Json::Uint(i)).collect()),
-                ));
+                out.push_str(",\"plan\":");
+                json::write_str(out, plan);
+                uint(out, ",\"shard\":", *shard);
+                uint(out, ",\"of\":", *of);
+                out.push_str(",\"indices\":[");
+                for (i, &index) in indices.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    json::write_u64(out, index);
+                }
+                out.push(']');
             }
             WireMsg::Run {
                 index,
                 spec_fingerprint,
                 run,
             } => {
-                fields.push(("index".to_string(), Json::Uint(*index)));
-                fields.push(("spec".to_string(), Json::Uint(*spec_fingerprint)));
-                fields.push(("run".to_string(), run.to_json_value()));
+                uint(out, ",\"index\":", *index);
+                uint(out, ",\"spec\":", *spec_fingerprint);
+                out.push_str(",\"run\":");
+                run.write_json(out);
             }
             WireMsg::Metrics { shard, snapshot } => {
-                fields.push(("shard".to_string(), Json::Uint(*shard)));
-                fields.push(("snapshot".to_string(), snapshot.to_json_value()));
+                uint(out, ",\"shard\":", *shard);
+                out.push_str(",\"snapshot\":");
+                snapshot.write_json(out);
             }
             WireMsg::Report {
                 render,
                 cache_hits,
                 aggregate,
             } => {
-                fields.push(("render".to_string(), Json::Str(render.clone())));
-                fields.push(("cache_hits".to_string(), Json::Uint(*cache_hits)));
-                fields.push(("aggregate".to_string(), aggregate.to_json_value()));
+                out.push_str(",\"render\":");
+                json::write_str(out, render);
+                uint(out, ",\"cache_hits\":", *cache_hits);
+                out.push_str(",\"aggregate\":");
+                aggregate.write_json(out);
             }
             WireMsg::Error { message } => {
-                fields.push(("message".to_string(), Json::Str(message.clone())));
+                out.push_str(",\"message\":");
+                json::write_str(out, message);
             }
         }
-        Json::Obj(fields)
+        out.push_str("}\n");
     }
 
-    /// Encodes the message as one newline-terminated NDJSON line. JSON
-    /// string escaping keeps embedded newlines (plan documents, rendered
-    /// tables) on the one line.
+    /// The message as one newline-terminated NDJSON line: a versioned,
+    /// type-tagged object, encoded into a new `String` sized so a typical
+    /// `run` line of about 1.7 KiB never regrows it.
     pub fn to_line(&self) -> String {
-        format!("{}\n", self.to_json_value())
+        let mut out = String::with_capacity(2048);
+        self.write_line(&mut out);
+        out
     }
 
-    /// Decodes a [`Json`] object produced by
-    /// [`to_json_value`](WireMsg::to_json_value).
+    /// Decodes a parsed message object, as [`to_line`](Self::to_line)
+    /// writes it.
     ///
     /// # Errors
     ///
@@ -287,19 +310,21 @@ impl WireMsg {
             indices: spec.indices.iter().map(|&i| i as u64).collect(),
         }
     }
+}
 
-    /// The `Run` message carrying `record`.
-    pub fn run_delta(record: &ShardRecord) -> WireMsg {
+/// The `Run` message carrying `record`, moved in.
+impl From<ShardRecord> for WireMsg {
+    fn from(record: ShardRecord) -> WireMsg {
         WireMsg::Run {
             index: record.index as u64,
             spec_fingerprint: record.spec_fingerprint,
-            run: record.run.clone(),
+            run: record.run,
         }
     }
 }
 
 impl WireMsg {
-    /// Converts a received `Run` message back into a [`ShardRecord`] for
+    /// Moves a `Run` message's record back out into a [`ShardRecord`] for
     /// the merge stage; `None` for other message kinds.
     pub fn into_shard_record(self) -> Option<ShardRecord> {
         match self {
@@ -450,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_assignment_and_run_delta_mirror_the_shard_types() {
+    fn shard_assignment_and_run_messages_mirror_the_shard_types() {
         let spec = ShardSpec {
             shard: 1,
             of: 4,
@@ -475,7 +500,7 @@ mod tests {
             spec_fingerprint: 77,
             run: sample_run(),
         };
-        let msg = WireMsg::run_delta(&record);
+        let msg = WireMsg::from(record.clone());
         let back = WireMsg::parse_line(&msg.to_line())
             .unwrap()
             .into_shard_record()

@@ -375,6 +375,22 @@ fn absurd_content_lengths_are_refused_and_the_daemon_survives() {
     let (head, body) = raw_http(&addr, &oversized);
     assert!(head.starts_with("HTTP/1.1 431"), "{head}");
     assert!(body.contains("request head exceeds"), "{body}");
+    // A plan expanding to four billion runs is refused while it parses,
+    // before any run is allocated (this used to abort the daemon).
+    let (head, body) = http(
+        &addr,
+        "POST",
+        "/campaign",
+        "scenario huge\nprotocols abp\ndisciplines fifo\nmessages 5\nseeds 0..4000000000\n",
+    );
+    assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+    let Ok(WireMsg::Error { message }) = WireMsg::parse_line(body.trim()) else {
+        panic!("400 body is an error message: {body}");
+    };
+    assert!(
+        message.contains("line 1") && message.contains("runs"),
+        "{message}"
+    );
 
     let (head, body) = http(&addr, "GET", "/healthz", "");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");

@@ -5,8 +5,16 @@
 //! snapshots and emit Chrome `trace_events` files. Integers are kept exact
 //! (`u64`/`i64` variants) rather than coerced through `f64`, so counter
 //! values survive a round-trip bit-for-bit.
+//!
+//! Encoding has two front ends over one set of scalar writers
+//! ([`write_u64`], [`write_f64`], [`write_str`]): the [`Json`] tree's
+//! `Display`, and hand-written streaming encoders (metrics snapshots,
+//! campaign wire lines, cache files) that append straight to a `String`
+//! without building a tree. Both spell every scalar the same way, so a
+//! document decoded into a [`Json`] tree and re-encoded reproduces the
+//! streamed bytes.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 ///
@@ -117,22 +125,15 @@ fn write_json(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Uint(n) => out.push_str(&n.to_string()),
-        Json::Int(n) => out.push_str(&n.to_string()),
-        Json::Float(x) => {
-            if x.is_finite() {
-                // Rust's shortest-roundtrip formatting; force a decimal
-                // point so the value parses back as a float.
-                let s = x.to_string();
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
+        Json::Uint(n) => write_u64(out, *n),
+        Json::Int(n) => {
+            if *n < 0 {
+                out.push('-');
             }
+            write_u64(out, n.unsigned_abs());
         }
-        Json::Str(s) => write_string(out, s),
+        Json::Float(x) => write_f64(out, *x),
+        Json::Str(s) => write_str(out, s),
         Json::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -149,7 +150,7 @@ fn write_json(out: &mut String, v: &Json) {
                 if i > 0 {
                     out.push(',');
                 }
-                write_string(out, k);
+                write_str(out, k);
                 out.push(':');
                 write_json(out, item);
             }
@@ -158,21 +159,70 @@ fn write_json(out: &mut String, v: &Json) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends `n` in decimal, without an intermediate `String`.
+pub fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ascii"));
+}
+
+/// Appends `x` in Rust's shortest round-trip spelling, with a decimal
+/// point forced so it parses back as a float. Non-finite values have no
+/// JSON spelling and are written as `null`.
+pub fn write_f64(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    write!(out, "{x}").expect("writing to a String cannot fail");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Appends `s` as a quoted JSON string. A string with nothing to escape
+/// (every metric name) is copied whole after one branch-free scan; other
+/// strings are copied in runs between their escapes.
+pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let needs_escape = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+    out.push('"');
+    if !s.bytes().fold(false, |any, b| any | needs_escape(b)) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is always a char boundary.
+        out.push_str(&s[plain..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 

@@ -16,7 +16,8 @@
 //!   instants, exported as a Chrome `trace_events` document for
 //!   `chrome://tracing` / Perfetto. What `--trace-out` writes.
 //! * [`Json`] — the zero-dependency JSON value/parser both artifacts are
-//!   built on (the workspace has no serde by policy).
+//!   built on (the workspace has no serde by policy), and the [`json`]
+//!   module's scalar writers that streaming encoders share with it.
 //!
 //! Telemetry is always optional at the call site and never feeds back into
 //! simulation state: fingerprints, explorer reports, and experiment tables
@@ -25,7 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod metrics;
 mod snapshot;
 mod trace;

@@ -5,7 +5,7 @@
 //! the document shape must bump the version and keep
 //! [`MetricsSnapshot::from_json`] accepting what it wrote before.
 
-use crate::json::{Json, JsonError};
+use crate::json::{self, Json, JsonError};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -33,7 +33,8 @@ pub struct HistogramSnapshot {
     /// Largest observation.
     pub max: u64,
     /// Non-empty power-of-two buckets as `(inclusive upper bound, count)`,
-    /// ascending.
+    /// strictly ascending by bound (documents that are not are rejected,
+    /// and [`MetricsSnapshot::merge_from`] relies on it).
     pub buckets: Vec<(u64, u64)>,
 }
 
@@ -71,6 +72,14 @@ pub enum SnapshotError {
     Json(JsonError),
     /// The document is JSON but not a snapshot of a supported schema.
     Schema(String),
+    /// A histogram's buckets are not strictly ascending by upper bound.
+    BucketOrder {
+        /// The histogram's name.
+        histogram: String,
+        /// Position of the first bucket whose bound does not exceed the
+        /// previous one's.
+        at: usize,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -78,6 +87,11 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Json(e) => write!(f, "{e}"),
             SnapshotError::Schema(msg) => write!(f, "snapshot schema error: {msg}"),
+            SnapshotError::BucketOrder { histogram, at } => write!(
+                f,
+                "snapshot schema error: histogram '{histogram}' bucket {at} is not above \
+                 the one before (buckets must be strictly ascending)"
+            ),
         }
     }
 }
@@ -97,73 +111,52 @@ fn schema_err<T>(msg: impl Into<String>) -> Result<T, SnapshotError> {
 impl MetricsSnapshot {
     /// Serializes the snapshot as a compact, key-sorted JSON document.
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 
-    /// The snapshot as a [`Json`] value — for callers that embed snapshots
-    /// inside a larger document (the campaign result cache) rather than
-    /// writing a standalone file.
-    pub fn to_json_value(&self) -> Json {
-        let counters = Json::Obj(
-            self.counters
-                .iter()
-                .map(|(k, &v)| (k.clone(), Json::Uint(v)))
-                .collect(),
-        );
-        let gauges = Json::Obj(
-            self.gauges
-                .iter()
-                .map(|(k, g)| {
-                    (
-                        k.clone(),
-                        Json::Obj(vec![
-                            ("value".into(), Json::Uint(g.value)),
-                            ("high_water".into(), Json::Uint(g.high_water)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let histograms = Json::Obj(
-            self.histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::Uint(h.count)),
-                            ("sum".into(), Json::Uint(h.sum)),
-                            ("min".into(), Json::Uint(h.min)),
-                            ("max".into(), Json::Uint(h.max)),
-                            (
-                                "buckets".into(),
-                                Json::Arr(
-                                    h.buckets
-                                        .iter()
-                                        .map(|&(le, n)| {
-                                            Json::Arr(vec![Json::Uint(le), Json::Uint(n)])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let values = Json::Obj(
-            self.values
-                .iter()
-                .map(|(k, &v)| (k.clone(), Json::Float(v)))
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("schema_version".into(), Json::Uint(self.schema_version)),
-            ("counters".into(), counters),
-            ("gauges".into(), gauges),
-            ("histograms".into(), histograms),
-            ("values".into(), values),
-        ])
+    /// Appends the [`to_json`](Self::to_json) document to `out`, for
+    /// callers that embed snapshots inside a larger document (campaign
+    /// wire lines and the result cache). This streaming writer is the one
+    /// encoder of the schema; decoding goes through a [`Json`] tree.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"schema_version\":");
+        json::write_u64(out, self.schema_version);
+        out.push_str(",\"counters\":");
+        write_map(out, &self.counters, |out, &n| json::write_u64(out, n));
+        out.push_str(",\"gauges\":");
+        write_map(out, &self.gauges, |out, g| {
+            out.push_str("{\"value\":");
+            json::write_u64(out, g.value);
+            out.push_str(",\"high_water\":");
+            json::write_u64(out, g.high_water);
+            out.push('}');
+        });
+        out.push_str(",\"histograms\":");
+        write_map(out, &self.histograms, |out, h| {
+            for (key, n) in [
+                ("{\"count\":", h.count),
+                (",\"sum\":", h.sum),
+                (",\"min\":", h.min),
+                (",\"max\":", h.max),
+            ] {
+                out.push_str(key);
+                json::write_u64(out, n);
+            }
+            out.push_str(",\"buckets\":[");
+            for (i, &(le, n)) in h.buckets.iter().enumerate() {
+                out.push_str(if i > 0 { ",[" } else { "[" });
+                json::write_u64(out, le);
+                out.push(',');
+                json::write_u64(out, n);
+                out.push(']');
+            }
+            out.push_str("]}");
+        });
+        out.push_str(",\"values\":");
+        write_map(out, &self.values, |out, &x| json::write_f64(out, x));
+        out.push('}');
     }
 
     /// Parses a snapshot document written by [`to_json`](Self::to_json).
@@ -177,12 +170,15 @@ impl MetricsSnapshot {
     }
 
     /// Parses a snapshot from an already-parsed [`Json`] value (the inverse
-    /// of [`to_json_value`](Self::to_json_value)).
+    /// of [`write_json`](Self::write_json)). A `null` in `values` reads as
+    /// NaN: non-finite values have no JSON spelling and are written as
+    /// `null`, so this keeps every written document readable.
     ///
     /// # Errors
     ///
-    /// Rejects documents without a `schema_version` and versions newer than
-    /// this crate understands.
+    /// Rejects documents without a `schema_version`, versions newer than
+    /// this crate understands, and histograms whose buckets are not
+    /// strictly ascending.
     pub fn from_json_value(doc: &Json) -> Result<MetricsSnapshot, SnapshotError> {
         let version = match doc.get("schema_version").and_then(Json::as_u64) {
             Some(v) => v,
@@ -225,7 +221,11 @@ impl MetricsSnapshot {
         }
         if let Some(fields) = doc.get("values").and_then(Json::as_obj) {
             for (k, v) in fields {
-                match v.as_f64() {
+                let x = match v {
+                    Json::Null => Some(f64::NAN),
+                    v => v.as_f64(),
+                };
+                match x {
                     Some(x) => snap.values.insert(k.clone(), x),
                     None => return schema_err(format!("value '{k}' is not a number")),
                 };
@@ -287,45 +287,85 @@ impl MetricsSnapshot {
     /// Every rule except `values` is commutative and associative, so
     /// folding per-run snapshots in run order yields the same aggregate on
     /// any thread count.
+    ///
+    /// A key is copied only when `self` does not have it yet, and
+    /// histogram buckets merge in place (both sides are ascending).
     pub fn merge_from(&mut self, other: &MetricsSnapshot) {
-        for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, g) in &other.gauges {
-            let slot = self.gauges.entry(k.clone()).or_insert(GaugeSnapshot {
-                value: 0,
-                high_water: 0,
-            });
+        merge_keyed(&mut self.counters, &other.counters, |slot, &n| *slot += n);
+        merge_keyed(&mut self.gauges, &other.gauges, |slot, g| {
             slot.value = slot.value.max(g.value);
             slot.high_water = slot.high_water.max(g.high_water);
-        }
-        for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                None => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-                Some(slot) => {
-                    slot.min = if slot.count == 0 {
-                        h.min
-                    } else if h.count == 0 {
-                        slot.min
-                    } else {
-                        slot.min.min(h.min)
-                    };
-                    slot.max = slot.max.max(h.max);
-                    slot.count += h.count;
-                    slot.sum += h.sum;
-                    let mut buckets: BTreeMap<u64, u64> = slot.buckets.iter().copied().collect();
-                    for &(le, n) in &h.buckets {
-                        *buckets.entry(le).or_insert(0) += n;
-                    }
-                    slot.buckets = buckets.into_iter().collect();
-                }
+        });
+        merge_keyed(&mut self.histograms, &other.histograms, |slot, h| {
+            slot.min = if slot.count == 0 {
+                h.min
+            } else if h.count == 0 {
+                slot.min
+            } else {
+                slot.min.min(h.min)
+            };
+            slot.max = slot.max.max(h.max);
+            slot.count += h.count;
+            slot.sum += h.sum;
+            merge_buckets(&mut slot.buckets, &h.buckets);
+        });
+        merge_keyed(&mut self.values, &other.values, |slot, &x| *slot = x);
+    }
+}
+
+/// Folds `from` into `into`: `merge` for every key both maps hold, a copy
+/// of the entry (key included) for every key only `from` holds.
+fn merge_keyed<V: Clone>(
+    into: &mut BTreeMap<String, V>,
+    from: &BTreeMap<String, V>,
+    mut merge: impl FnMut(&mut V, &V),
+) {
+    for (k, v) in from {
+        match into.get_mut(k) {
+            Some(slot) => merge(slot, v),
+            None => {
+                into.insert(k.clone(), v.clone());
             }
         }
-        for (k, &v) in &other.values {
-            self.values.insert(k.clone(), v);
+    }
+}
+
+/// Writes `map` as a JSON object, each value by `value`.
+fn write_map<V>(
+    out: &mut String,
+    map: &BTreeMap<String, V>,
+    mut value: impl FnMut(&mut String, &V),
+) {
+    out.push('{');
+    for (i, (k, v)) in map.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        json::write_str(out, k);
+        out.push(':');
+        value(out, v);
+    }
+    out.push('}');
+}
+
+/// Adds `from`'s bucket counts into `into` by upper bound. Both lists are
+/// strictly ascending; so is the result. Shared bounds add in place in one
+/// walk; a bound new to `into` is appended, and the list re-sorted once.
+fn merge_buckets(into: &mut Vec<(u64, u64)>, from: &[(u64, u64)]) {
+    let held = into.len();
+    let mut i = 0;
+    for &(le, n) in from {
+        while i < held && into[i].0 < le {
+            i += 1;
+        }
+        if i < held && into[i].0 == le {
+            into[i].1 += n;
+        } else {
+            into.push((le, n));
+        }
+    }
+    if into.len() > held {
+        into.sort_unstable_by_key(|&(le, _)| le);
     }
 }
 
@@ -335,11 +375,17 @@ fn parse_histogram(name: &str, v: &Json) -> Result<HistogramSnapshot, SnapshotEr
             .and_then(Json::as_u64)
             .ok_or_else(|| SnapshotError::Schema(format!("histogram '{name}' missing {key}")))
     };
-    let mut buckets = Vec::new();
+    let mut buckets: Vec<(u64, u64)> = Vec::new();
     if let Some(items) = v.get("buckets").and_then(Json::as_arr) {
-        for item in items {
+        for (at, item) in items.iter().enumerate() {
             match item.as_arr() {
                 Some([le, n]) => match (le.as_u64(), n.as_u64()) {
+                    (Some(le), _) if buckets.last().is_some_and(|&(prev, _)| prev >= le) => {
+                        return Err(SnapshotError::BucketOrder {
+                            histogram: name.to_string(),
+                            at,
+                        })
+                    }
                     (Some(le), Some(n)) => buckets.push((le, n)),
                     _ => return schema_err(format!("histogram '{name}' has a bad bucket")),
                 },
@@ -409,11 +455,51 @@ mod tests {
     }
 
     #[test]
-    fn json_value_round_trip_matches_text_round_trip() {
+    fn streamed_document_matches_its_json_tree() {
         let snap = populated();
-        let value = snap.to_json_value();
-        assert_eq!(value.to_string(), snap.to_json());
-        assert_eq!(MetricsSnapshot::from_json_value(&value).unwrap(), snap);
+        let mut out = String::from("prefix:");
+        snap.write_json(&mut out);
+        let text = out.strip_prefix("prefix:").unwrap();
+        assert_eq!(text, snap.to_json());
+        // Decoding goes through the tree, whose writer spells every scalar
+        // the same way.
+        let tree = Json::parse(text).unwrap();
+        assert_eq!(tree.to_string(), text);
+        assert_eq!(MetricsSnapshot::from_json_value(&tree).unwrap(), snap);
+    }
+
+    #[test]
+    fn non_finite_values_round_trip_byte_identically() {
+        let reg = Registry::new();
+        reg.set_value("x", f64::INFINITY);
+        reg.set_value("y", f64::NAN);
+        reg.set_value("z", f64::NEG_INFINITY);
+        let text = reg.snapshot().to_json();
+        assert!(text.contains("\"x\":null"), "{text}");
+        let back = MetricsSnapshot::from_json(&text).unwrap();
+        assert!(back.values["x"].is_nan() && back.values["y"].is_nan());
+        assert_eq!(back.to_json(), text);
+    }
+
+    #[test]
+    fn unsorted_buckets_are_rejected_by_name() {
+        let doc = |buckets: &str| {
+            format!(
+                "{{\"schema_version\":1,\"histograms\":{{\"h\":{{\"count\":2,\"sum\":5,\
+                 \"min\":1,\"max\":4,\"buckets\":{buckets}}}}}}}"
+            )
+        };
+        assert!(MetricsSnapshot::from_json(&doc("[[1,1],[4,1]]")).is_ok());
+        for (buckets, at) in [("[[4,1],[1,1]]", 1), ("[[1,1],[2,0],[2,1]]", 2)] {
+            assert_eq!(
+                MetricsSnapshot::from_json(&doc(buckets)),
+                Err(SnapshotError::BucketOrder {
+                    histogram: "h".to_string(),
+                    at
+                }),
+                "{buckets}"
+            );
+        }
     }
 
     #[test]

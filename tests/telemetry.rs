@@ -11,9 +11,12 @@ use nonfifo::channel::{
 use nonfifo::core::{SimConfig, Simulation};
 use nonfifo::ioa::{Dir, Header, Packet};
 use nonfifo::protocols::{AlternatingBit, SequenceNumber};
-use nonfifo::telemetry::{Json, MetricsSnapshot, Registry, TraceSink, SCHEMA_VERSION};
+use nonfifo::telemetry::{
+    GaugeSnapshot, HistogramSnapshot, Json, MetricsSnapshot, Registry, TraceSink, SCHEMA_VERSION,
+};
 use nonfifo::transport::VirtualLinkBuilder;
 use nonfifo_rng::StdRng;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Drives a channel with a seeded op mix, drains what is deliverable, and
@@ -250,5 +253,126 @@ fn both_engines_export_one_end_of_run_vocabulary() {
             states[0], states[1],
             "{spec}: engines disagree on explore.states"
         );
+    }
+}
+
+/// The merge `MetricsSnapshot::merge_from` replaced, kept as the
+/// reference it must agree with: every key cloned through `entry`, every
+/// histogram's buckets rebuilt through a `BTreeMap`.
+fn reference_merge(into: &mut MetricsSnapshot, other: &MetricsSnapshot) {
+    for (k, &v) in &other.counters {
+        *into.counters.entry(k.clone()).or_insert(0) += v;
+    }
+    for (k, g) in &other.gauges {
+        let slot = into.gauges.entry(k.clone()).or_insert(GaugeSnapshot {
+            value: 0,
+            high_water: 0,
+        });
+        slot.value = slot.value.max(g.value);
+        slot.high_water = slot.high_water.max(g.high_water);
+    }
+    for (k, h) in &other.histograms {
+        match into.histograms.get_mut(k) {
+            None => {
+                into.histograms.insert(k.clone(), h.clone());
+            }
+            Some(slot) => {
+                slot.min = if slot.count == 0 {
+                    h.min
+                } else if h.count == 0 {
+                    slot.min
+                } else {
+                    slot.min.min(h.min)
+                };
+                slot.max = slot.max.max(h.max);
+                slot.count += h.count;
+                slot.sum += h.sum;
+                let mut buckets: BTreeMap<u64, u64> = slot.buckets.iter().copied().collect();
+                for &(le, n) in &h.buckets {
+                    *buckets.entry(le).or_insert(0) += n;
+                }
+                slot.buckets = buckets.into_iter().collect();
+            }
+        }
+    }
+    for (k, &v) in &other.values {
+        into.values.insert(k.clone(), v);
+    }
+}
+
+/// A seeded snapshot over a small key space, so merges hit both shared
+/// and fresh keys. Buckets come from eight bounds, so two histograms
+/// overlap, nest or are disjoint; a third of histograms are empty (the
+/// `min` rule for zero counts).
+fn merge_case(rng: &mut StdRng) -> MetricsSnapshot {
+    let mut snap = MetricsSnapshot {
+        schema_version: SCHEMA_VERSION,
+        ..MetricsSnapshot::default()
+    };
+    let key = |rng: &mut StdRng| format!("m{}", rng.gen_range(0..6));
+    for _ in 0..rng.gen_range(0..5) {
+        snap.counters.insert(key(rng), rng.gen_range(0..100) as u64);
+    }
+    for _ in 0..rng.gen_range(0..4) {
+        let value = rng.gen_range(0..50) as u64;
+        let high_water = value + rng.gen_range(0..50) as u64;
+        snap.gauges
+            .insert(key(rng), GaugeSnapshot { value, high_water });
+    }
+    for _ in 0..rng.gen_range(0..4) {
+        let histogram = if rng.gen_range(0..3) == 0 {
+            HistogramSnapshot {
+                count: 0,
+                sum: 0,
+                min: 0,
+                max: 0,
+                buckets: Vec::new(),
+            }
+        } else {
+            let mut buckets = BTreeMap::new();
+            for _ in 0..rng.gen_range(1..5) {
+                *buckets.entry(1u64 << rng.gen_range(0..8)).or_insert(0) +=
+                    rng.gen_range(1..9) as u64;
+            }
+            let count = buckets.values().sum();
+            let min = rng.gen_range(1..10) as u64;
+            HistogramSnapshot {
+                count,
+                sum: count * min,
+                min,
+                max: min + rng.gen_range(0..100) as u64,
+                buckets: buckets.into_iter().collect(),
+            }
+        };
+        snap.histograms.insert(key(rng), histogram);
+    }
+    for _ in 0..rng.gen_range(0..3) {
+        snap.values.insert(key(rng), rng.next_f64());
+    }
+    snap
+}
+
+#[test]
+fn in_place_merge_agrees_with_the_btreemap_reference() {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64);
+    for seed in 0..cases {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut merged = merge_case(&mut rng);
+        let mut reference = merged.clone();
+        for step in 0..rng.gen_range(1..8) {
+            let next = merge_case(&mut rng);
+            merged.merge_from(&next);
+            reference_merge(&mut reference, &next);
+            assert_eq!(merged, reference, "seed {seed}, merge {step}");
+            for h in merged.histograms.values() {
+                assert!(
+                    h.buckets.windows(2).all(|w| w[0].0 < w[1].0),
+                    "seed {seed}: buckets stay strictly ascending"
+                );
+            }
+        }
     }
 }
