@@ -13,6 +13,7 @@
 //! empty cache (the natural first-run experience for `--cache`).
 
 use crate::runner::{RunOutcome, RunRecord};
+use crate::shard::PlanExpansion;
 use crate::spec::RunSpec;
 use nonfifo_core::NonFifoError;
 use nonfifo_telemetry::json::{self, Json};
@@ -164,14 +165,23 @@ impl CampaignCache {
     /// Replays the cached result for `spec`, if present, as a full record
     /// marked `cached`.
     pub fn lookup(&self, spec: &RunSpec) -> Option<RunRecord> {
-        let hit = self.entries.get(&spec.fingerprint())?;
+        self.lookup_keyed(spec.fingerprint(), spec)
+    }
+
+    /// [`lookup`](Self::lookup) with `spec`'s fingerprint already known.
+    pub(crate) fn lookup_keyed(&self, key: u64, spec: &RunSpec) -> Option<RunRecord> {
+        let hit = self.entries.get(&key)?;
         Some(hit.clone().into_record(spec.clone(), true))
     }
 
     /// Stores `record` under its spec's key.
     pub fn insert(&mut self, record: RunRecord) {
-        self.entries
-            .insert(record.spec.fingerprint(), record.into());
+        self.insert_keyed(record.spec.fingerprint(), record);
+    }
+
+    /// [`insert`](Self::insert) with the spec's fingerprint already known.
+    pub(crate) fn insert_keyed(&mut self, key: u64, record: RunRecord) {
+        self.entries.insert(key, record.into());
     }
 
     /// Serializes the cache as a compact JSON document.
@@ -283,6 +293,12 @@ impl SharedCache {
         self.inner.read().expect("cache lock poisoned").lookup(spec)
     }
 
+    /// [`PlanExpansion::partition_cached`] under one read-lock
+    /// acquisition.
+    pub fn partition(&self, expansion: &PlanExpansion) -> (Vec<(usize, RunRecord)>, Vec<usize>) {
+        expansion.partition_cached(&self.inner.read().expect("cache lock poisoned"))
+    }
+
     /// Number of cached runs.
     pub fn len(&self) -> usize {
         self.inner.read().expect("cache lock poisoned").len()
@@ -294,11 +310,12 @@ impl SharedCache {
     }
 
     /// Stores a batch of fresh records, moved in, under one write-lock
-    /// acquisition.
-    pub fn insert_all(&self, records: impl IntoIterator<Item = RunRecord>) {
+    /// acquisition, each under its spec's fingerprint as
+    /// [`PlanExpansion::keys`] holds it.
+    pub fn insert_all(&self, records: impl IntoIterator<Item = (u64, RunRecord)>) {
         let mut cache = self.inner.write().expect("cache lock poisoned");
-        for record in records {
-            cache.insert(record);
+        for (key, record) in records {
+            cache.insert_keyed(key, record);
         }
     }
 
@@ -407,7 +424,7 @@ mod tests {
             .message_counts(&[3])
             .expand();
         let record = CampaignRunner::new(1).run(&extra).unwrap().records[0].clone();
-        shared.insert_all([record]);
+        shared.insert_all([(extra[0].fingerprint(), record)]);
         assert!(clone.lookup(&extra[0]).is_some());
         assert_eq!(clone.len(), runs.len() + 1);
     }

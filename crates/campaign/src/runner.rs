@@ -10,11 +10,11 @@
 //! **byte-identical at any thread count**: parallelism changes wall-clock
 //! time and nothing else.
 //!
-//! Each run gets a fresh simulation, a fresh telemetry
-//! [`Registry`](nonfifo_telemetry::Registry), and a deterministic seed from
-//! its spec, so runs are independent and a result can be cached: the
-//! [`CampaignCache`] is consulted before the pool spins up, and cached
-//! records are indistinguishable from fresh ones in every report artifact.
+//! Each run gets a fresh simulation, which tallies its own metrics, and a
+//! deterministic seed from its spec, so runs are independent and a result
+//! can be cached: the [`CampaignCache`] is consulted before the pool spins
+//! up, and cached records are indistinguishable from fresh ones in every
+//! report artifact.
 
 use crate::cache::{CachedRun, CampaignCache};
 use crate::shard::{merge_reports, PlanExpansion, ShardRecord, ShardReport};
@@ -27,9 +27,8 @@ use nonfifo_core::{
     Simulation, StabilizeConfig,
 };
 use nonfifo_protocols::{catalog, DataLink};
-use nonfifo_telemetry::{MetricsSnapshot, Registry, SCHEMA_VERSION};
+use nonfifo_telemetry::{MetricsSnapshot, SCHEMA_VERSION};
 use std::fmt;
-use std::sync::Arc;
 
 /// How one campaign run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +89,7 @@ pub struct RunRecord {
     pub fwd_sends: u64,
     /// Messages delivered.
     pub delivered: u64,
-    /// The run's full metrics snapshot (fresh registry per run).
+    /// The run's full metrics snapshot (the simulation's own tally).
     pub metrics: MetricsSnapshot,
     /// True if this record was replayed from the cache rather than run.
     pub cached: bool,
@@ -164,8 +163,10 @@ impl CampaignRunner {
         let (cached, to_run) = expansion.partition_cached(cache);
         let part = self.execute(&expansion, &to_run);
         let report = merge_reports(&expansion, cached, vec![part])?;
-        for record in report.records.iter().filter(|r| !r.cached) {
-            cache.insert(record.clone());
+        for (&key, record) in expansion.keys().iter().zip(&report.records) {
+            if !record.cached {
+                cache.insert_keyed(key, record.clone());
+            }
         }
         Ok(report)
     }
@@ -179,7 +180,7 @@ impl CampaignRunner {
     ///
     /// Panics if an index is out of range for `expansion`.
     pub fn execute(&self, expansion: &PlanExpansion, indices: &[usize]) -> ShardReport {
-        let runs = expansion.runs();
+        let (runs, keys) = (expansion.runs(), expansion.keys());
         let workers = self.threads.min(indices.len()).max(1);
         let mut fresh: Vec<(usize, CachedRun)> = if indices.is_empty() {
             Vec::new()
@@ -218,7 +219,7 @@ impl CampaignRunner {
                 .into_iter()
                 .map(|(index, run)| ShardRecord {
                     index,
-                    spec_fingerprint: runs[index].fingerprint(),
+                    spec_fingerprint: keys[index],
                     run,
                 })
                 .collect(),
@@ -233,7 +234,6 @@ pub(crate) fn execute_one(spec: &RunSpec) -> CachedRun {
     if let Some(severity) = spec.corruption {
         return execute_corrupted(spec, proto, severity);
     }
-    let registry = Arc::new(Registry::new());
     let mut builder = Simulation::builder(proto)
         .channel(spec.discipline.clone())
         .seed(spec.seed);
@@ -241,7 +241,7 @@ pub(crate) fn execute_one(spec: &RunSpec) -> CachedRun {
         builder = builder.fault_plan(plan.clone());
     }
     let mut sim = builder.build();
-    sim.attach_telemetry(Arc::clone(&registry), None);
+    sim.record_metrics();
     let cfg = SimConfig {
         max_steps_per_message: spec
             .budget
@@ -251,7 +251,7 @@ pub(crate) fn execute_one(spec: &RunSpec) -> CachedRun {
     };
     let result = sim.deliver(spec.messages, &cfg);
     let fingerprint = sim.execution_fingerprint();
-    let metrics = registry.snapshot();
+    let metrics = sim.take_metrics();
     let counter = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
     let (outcome, steps, fwd_sends, delivered) = match &result {
         Ok(stats) => (
@@ -286,10 +286,10 @@ pub(crate) fn execute_one(spec: &RunSpec) -> CachedRun {
 /// Executes one corruption-bearing spec: the run starts from a seeded
 /// scramble (scramble seed = run seed) and is judged by convergence
 /// instead of clean-start delivery — `Delivered` means the execution
-/// acquired a legal suffix after its corrupted prefix. The telemetry
-/// registry is attached between building and driving the simulation, so
-/// corrupted records carry the same per-run metrics as clean ones (minus
-/// the preload events, which land before the registry exists).
+/// acquired a legal suffix after its corrupted prefix. Recording starts
+/// between building and driving the simulation, so corrupted records
+/// carry the same per-run metrics as clean ones (minus the preload
+/// events, which land before the tally starts).
 fn execute_corrupted(
     spec: &RunSpec,
     proto: Box<dyn DataLink>,
@@ -305,16 +305,15 @@ fn execute_corrupted(
             .unwrap_or(StabilizeConfig::default().max_steps_per_message),
         ..StabilizeConfig::default()
     };
-    let registry = Arc::new(Registry::new());
     let mut sim = corrupted_simulation(proto, spec.seed, &stab_cfg);
-    sim.attach_telemetry(Arc::clone(&registry), None);
+    sim.record_metrics();
     let outcome = drive_corrupted(&mut sim, spec.seed, &stab_cfg);
     // Phantom deliveries from the scramble don't count: only real workload
     // payloads do (junk payloads live at or above 2^40, so no collisions).
     let delivered = (0..spec.messages)
         .filter(|m| sim.delivered_payloads().contains(m))
         .count() as u64;
-    let metrics = registry.snapshot();
+    let metrics = sim.take_metrics();
     CachedRun {
         outcome: match outcome.verdict {
             SeedVerdict::Converged { .. } => RunOutcome::Delivered,

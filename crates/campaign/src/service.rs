@@ -36,7 +36,6 @@
 
 use crate::cache::SharedCache;
 use crate::plan::CampaignPlan;
-use crate::runner::RunRecord;
 use crate::shard::{merge_reports, PlanExpansion, ShardRecord, ShardReport, ShardSpec};
 use crate::wire::WireMsg;
 use nonfifo_core::NonFifoError;
@@ -168,14 +167,7 @@ impl CampaignService {
         let plan = CampaignPlan::parse(plan_text)?;
         let expansion = PlanExpansion::of_plan(&plan)?;
 
-        let mut cached: Vec<(usize, RunRecord)> = Vec::new();
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, spec) in expansion.runs().iter().enumerate() {
-            match self.cache.lookup(spec) {
-                Some(hit) => cached.push((i, hit)),
-                None => misses.push(i),
-            }
-        }
+        let (cached, misses) = self.cache.partition(&expansion);
 
         let workers = self.effective_workers(requested_workers);
         // Weight-balanced sharding: a plan mixing an exponential-cost cell
@@ -215,8 +207,14 @@ impl CampaignService {
         let render = report.render();
         let aggregate = report.aggregate_metrics();
         // The report is rendered, so its fresh records move into the cache.
-        self.cache
-            .insert_all(report.records.into_iter().filter(|r| !r.cached));
+        self.cache.insert_all(
+            expansion
+                .keys()
+                .iter()
+                .copied()
+                .zip(report.records)
+                .filter(|(_, r)| !r.cached),
+        );
         if let Some(path) = &self.cfg.cache_path {
             if fresh > 0 {
                 self.cache.save(path)?;

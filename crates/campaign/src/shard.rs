@@ -28,9 +28,13 @@ use nonfifo_protocols::catalog;
 /// Construction validates every spec (protocol names against the catalog,
 /// discipline parameters) so the execute stage can assume well-formed
 /// input — a worker never discovers a typo three shards into a campaign.
+/// It also computes every spec's [`RunSpec::fingerprint`] once; the cache
+/// pre-pass, the execute stage, the merge and the cache insert all read
+/// the keys from here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanExpansion {
     runs: Vec<RunSpec>,
+    keys: Vec<u64>,
 }
 
 impl PlanExpansion {
@@ -44,7 +48,8 @@ impl PlanExpansion {
             catalog::by_name(&spec.protocol).map_err(|e| NonFifoError::Usage(e.to_string()))?;
             spec.discipline.validate()?;
         }
-        Ok(PlanExpansion { runs })
+        let keys = runs.iter().map(RunSpec::fingerprint).collect();
+        Ok(PlanExpansion { runs, keys })
     }
 
     /// Expands and validates a parsed plan.
@@ -63,6 +68,12 @@ impl PlanExpansion {
         &self.runs
     }
 
+    /// Every run's [`RunSpec::fingerprint`] (its cache key), in input
+    /// order.
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
     /// Number of runs in the expansion.
     pub fn len(&self) -> usize {
         self.runs.len()
@@ -79,8 +90,8 @@ impl PlanExpansion {
     pub fn partition_cached(&self, cache: &CampaignCache) -> (Vec<(usize, RunRecord)>, Vec<usize>) {
         let mut cached = Vec::new();
         let mut misses = Vec::new();
-        for (i, spec) in self.runs.iter().enumerate() {
-            match cache.lookup(spec) {
+        for (i, (spec, &key)) in self.runs.iter().zip(&self.keys).enumerate() {
+            match cache.lookup_keyed(key, spec) {
                 Some(hit) => cached.push((i, hit)),
                 None => misses.push(i),
             }
@@ -200,11 +211,10 @@ impl ShardSpec {
     ) -> ShardReport {
         let mut records = Vec::with_capacity(self.indices.len());
         for &index in &self.indices {
-            let spec = &expansion.runs()[index];
             let msg = WireMsg::from(ShardRecord {
                 index,
-                spec_fingerprint: spec.fingerprint(),
-                run: execute_one(spec),
+                spec_fingerprint: expansion.keys[index],
+                run: execute_one(&expansion.runs[index]),
             });
             sink(&msg);
             records.push(msg.into_shard_record().expect("a Run message"));
@@ -284,27 +294,21 @@ pub fn merge_reports(
     for part in parts {
         for record in part.records {
             let index = record.index;
-            let spec = expansion
-                .runs()
-                .get(index)
-                .ok_or_else(|| {
-                    merge_err(format!("shard {} index {index} out of range", part.shard))
-                })?
-                .clone();
-            if record.spec_fingerprint != spec.fingerprint() {
+            let key = *expansion.keys.get(index).ok_or_else(|| {
+                merge_err(format!("shard {} index {index} out of range", part.shard))
+            })?;
+            if record.spec_fingerprint != key {
                 return Err(merge_err(format!(
-                    "shard {} record for run {index} answers spec {:016x}, expected {:016x} \
+                    "shard {} record for run {index} answers spec {:016x}, expected {key:016x} \
                      (worker ran a different plan?)",
-                    part.shard,
-                    record.spec_fingerprint,
-                    spec.fingerprint()
+                    part.shard, record.spec_fingerprint,
                 )));
             }
             let slot = &mut slots[index];
             if slot.is_some() {
                 return Err(merge_err(format!("two records for run {index}")));
             }
-            *slot = Some(record.run.into_record(spec, false));
+            *slot = Some(record.run.into_record(expansion.runs[index].clone(), false));
         }
     }
     let missing = slots.iter().filter(|s| s.is_none()).count();

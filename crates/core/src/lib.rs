@@ -33,6 +33,7 @@
 mod builder;
 mod error;
 pub mod experiments;
+mod sim_telemetry;
 mod simulation;
 mod stabilize;
 

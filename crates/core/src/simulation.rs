@@ -1,134 +1,19 @@
 //! The user-facing simulation engine.
 
 use crate::builder::SimulationBuilder;
+use crate::sim_telemetry::SimTelemetry;
 use nonfifo_channel::{BoxedChannel, ScramblePlan};
 use nonfifo_ioa::fingerprint::Fnv64;
 use nonfifo_ioa::{
     CopyId, Dir, Event, Execution, Header, Message, Packet, Payload, SpecMonitor, SpecViolation,
 };
 use nonfifo_protocols::{BoxedReceiver, BoxedTransmitter, DataLink, GhostInfo};
-use nonfifo_telemetry::{Counter, Gauge, Histogram, Registry, TraceSink};
+use nonfifo_telemetry::{MetricsSnapshot, Registry, TraceSink, SCHEMA_VERSION};
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-/// Telemetry plumbing for a [`Simulation`]: pre-bound metric handles plus an
-/// optional trace sink. Recording is observation-only — nothing here feeds
-/// back into protocol, channel, or monitor state, so runs are bit-identical
-/// with telemetry attached or not (property-tested in `tests/telemetry.rs`).
-#[derive(Debug, Clone)]
-struct SimTelemetry {
-    registry: Arc<Registry>,
-    trace: Option<Arc<TraceSink>>,
-    msgs_sent: Counter,
-    msgs_received: Counter,
-    fwd: DirTelemetry,
-    bwd: DirTelemetry,
-    packets_per_message: Histogram,
-    header_usage: Histogram,
-    /// `chan.fwd.sends` reading at the most recent `send_msg`, for the
-    /// packets-per-message histogram.
-    round_sends_base: u64,
-}
-
-#[derive(Debug, Clone)]
-struct DirTelemetry {
-    name: &'static str,
-    sends: Counter,
-    delivered: Counter,
-    drops: Counter,
-    injected: Counter,
-    in_transit: Gauge,
-}
-
-impl DirTelemetry {
-    fn new(registry: &Registry, name: &'static str) -> Self {
-        DirTelemetry {
-            name,
-            sends: registry.counter(&format!("chan.{name}.sends")),
-            delivered: registry.counter(&format!("chan.{name}.delivered")),
-            drops: registry.counter(&format!("chan.{name}.drops")),
-            injected: registry.counter(&format!("chan.{name}.injected")),
-            in_transit: registry.gauge(&format!("sim.{name}.in_transit")),
-        }
-    }
-}
-
-impl SimTelemetry {
-    fn new(registry: Arc<Registry>, trace: Option<Arc<TraceSink>>) -> Self {
-        SimTelemetry {
-            msgs_sent: registry.counter("sim.messages.sent"),
-            msgs_received: registry.counter("sim.messages.received"),
-            fwd: DirTelemetry::new(&registry, "fwd"),
-            bwd: DirTelemetry::new(&registry, "bwd"),
-            packets_per_message: registry.histogram("sim.packets_per_message"),
-            header_usage: registry.histogram("sim.header_usage"),
-            round_sends_base: 0,
-            registry,
-            trace,
-        }
-    }
-
-    fn lane(&self, dir: Dir) -> &DirTelemetry {
-        match dir {
-            Dir::Forward => &self.fwd,
-            Dir::Backward => &self.bwd,
-        }
-    }
-
-    /// Bumps a per-header counter, e.g. `chan.fwd.send.h3`.
-    fn per_header(&self, dir: Dir, verb: &str, h: Header) {
-        let name = self.lane(dir).name;
-        self.registry
-            .counter(&format!("chan.{name}.{verb}.h{}", h.index()))
-            .inc();
-    }
-
-    /// Observes one recorded event. Purely additive: counters only.
-    fn observe(&mut self, event: &Event) {
-        match event {
-            Event::SendMsg(_) => {
-                self.msgs_sent.inc();
-                self.round_sends_base = self.fwd.sends.get();
-            }
-            Event::ReceiveMsg(_) => {
-                self.msgs_received.inc();
-                self.packets_per_message
-                    .record(self.fwd.sends.get() - self.round_sends_base);
-                self.round_sends_base = self.fwd.sends.get();
-                if let Some(trace) = &self.trace {
-                    trace.instant("sim", "deliver_msg", Vec::new());
-                }
-            }
-            Event::SendPkt { dir, packet, .. } => {
-                self.lane(*dir).sends.inc();
-                self.per_header(*dir, "send", packet.header());
-                if *dir == Dir::Forward {
-                    self.header_usage.record(u64::from(packet.header().index()));
-                }
-            }
-            Event::ReceivePkt { dir, packet, .. } => {
-                self.lane(*dir).delivered.inc();
-                self.per_header(*dir, "recv", packet.header());
-            }
-            Event::DropPkt { dir, packet, .. } => {
-                self.lane(*dir).drops.inc();
-                self.per_header(*dir, "drop", packet.header());
-                if let Some(trace) = &self.trace {
-                    trace.instant("sim", "drop_pkt", Vec::new());
-                }
-            }
-        }
-    }
-
-    /// Counts chaos-injected copies (already observed as sends above).
-    fn observe_injected(&self, dir: Dir, packet: &Packet) {
-        self.lane(dir).injected.inc();
-        self.per_header(dir, "injected", packet.header());
-    }
-}
 
 /// The station a [`CrashEvent`] targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -459,12 +344,47 @@ impl Simulation {
     }
 
     /// Attaches a metrics registry (and optionally a trace sink) to the
-    /// running simulation. Every subsequent event updates the registry's
-    /// counters/gauges/histograms; the trace sink receives round spans and
-    /// delivery/drop instants. Telemetry never influences the run itself:
+    /// running simulation. Every subsequent event is tallied in plain
+    /// integers, and the tally is published to the registry (through
+    /// [`Registry::absorb`]) at the end of every driving call —
+    /// [`deliver`](Self::deliver) on every return path,
+    /// [`settle`](Self::settle) and
+    /// [`corrupt_initial_state`](Self::corrupt_initial_state) — and once
+    /// now, which registers every metric name. The trace sink receives round spans and delivery/drop
+    /// instants as they happen. Telemetry never influences the run itself:
     /// fingerprints and statistics are identical with or without it.
     pub fn attach_telemetry(&mut self, registry: Arc<Registry>, trace: Option<Arc<TraceSink>>) {
-        self.telemetry = Some(SimTelemetry::new(registry, trace));
+        self.telemetry = Some(SimTelemetry::new(Some(registry), trace));
+        self.publish_telemetry();
+    }
+
+    /// Starts tallying the run's metrics with nowhere to publish them:
+    /// collect them with [`take_metrics`](Self::take_metrics). Events
+    /// recorded before the call are not counted; a tally already running
+    /// (with its registry and trace sink) is replaced.
+    pub fn record_metrics(&mut self) {
+        self.telemetry = Some(SimTelemetry::new(None, None));
+    }
+
+    /// Stops recording and returns everything tallied since
+    /// [`record_metrics`](Self::record_metrics) or
+    /// [`attach_telemetry`](Self::attach_telemetry) — the same snapshot an
+    /// attached registry holds at that point. Empty if recording never
+    /// started.
+    pub fn take_metrics(&mut self) -> MetricsSnapshot {
+        match self.telemetry.take() {
+            Some(telemetry) => telemetry.into_snapshot(),
+            None => MetricsSnapshot {
+                schema_version: SCHEMA_VERSION,
+                ..MetricsSnapshot::default()
+            },
+        }
+    }
+
+    fn publish_telemetry(&mut self) {
+        if let Some(tel) = &mut self.telemetry {
+            tel.publish();
+        }
     }
 
     /// Starts retaining the full event sequence as an [`Execution`]. Only
@@ -540,6 +460,7 @@ impl Simulation {
         for &pkt in &plan.tx_feed {
             self.tx.on_receive_pkt(pkt);
         }
+        self.publish_telemetry();
     }
 
     /// Pumps the scheduler `steps` times without submitting any message —
@@ -551,6 +472,7 @@ impl Simulation {
         for _ in 0..steps {
             self.pump();
         }
+        self.publish_telemetry();
     }
 
     /// Starts a [`SimulationBuilder`] over `proto` — the one assembly path
@@ -589,6 +511,12 @@ impl Simulation {
     /// violation (the statistics up to that point are lost — use
     /// lower-level crates to post-mortem violations).
     pub fn deliver(&mut self, n: u64, cfg: &SimConfig) -> Result<RunStats, SimError> {
+        let result = self.deliver_rounds(n, cfg);
+        self.publish_telemetry();
+        result
+    }
+
+    fn deliver_rounds(&mut self, n: u64, cfg: &SimConfig) -> Result<RunStats, SimError> {
         // Install the crash plan: future events only, soonest popped first.
         let mut plan: Vec<CrashEvent> = cfg
             .crash_plan
@@ -882,8 +810,8 @@ impl Simulation {
         // is what keeps the monitor PL1-sound under fault injection.
         for (pkt, copy) in self.fwd.drain_injected_sends() {
             self.sent_values.insert(pkt);
-            if let Some(tel) = &self.telemetry {
-                tel.observe_injected(Dir::Forward, &pkt);
+            if let Some(tel) = &mut self.telemetry {
+                tel.observe_injected(Dir::Forward, pkt.header());
             }
             self.record(&Event::SendPkt {
                 dir: Dir::Forward,
@@ -933,8 +861,8 @@ impl Simulation {
             }
         }
         for (pkt, copy) in self.bwd.drain_injected_sends() {
-            if let Some(tel) = &self.telemetry {
-                tel.observe_injected(Dir::Backward, &pkt);
+            if let Some(tel) = &mut self.telemetry {
+                tel.observe_injected(Dir::Backward, pkt.header());
             }
             self.record(&Event::SendPkt {
                 dir: Dir::Backward,
@@ -961,9 +889,11 @@ impl Simulation {
         }
         self.fwd.tick();
         self.bwd.tick();
-        if let Some(tel) = &self.telemetry {
-            tel.fwd.in_transit.set(self.fwd.in_transit_len() as u64);
-            tel.bwd.in_transit.set(self.bwd.in_transit_len() as u64);
+        if let Some(tel) = &mut self.telemetry {
+            tel.set_in_transit(
+                self.fwd.in_transit_len() as u64,
+                self.bwd.in_transit_len() as u64,
+            );
         }
         let s = self.tx.space_bytes() + self.rx.space_bytes();
         self.peak_space = self.peak_space.max(s);

@@ -7,8 +7,13 @@
 //!
 //! * [`Registry`] — named counters, gauges (with high-water marks), and
 //!   power-of-two histograms. Registration takes a lock once per metric;
-//!   recording is relaxed atomics, so the parallel explorer's workers
-//!   record without synchronizing.
+//!   recording through a handle is relaxed atomics. Hot loops do not
+//!   record per event, though: they tally plain integers and publish
+//!   once. The parallel explorer's workers each keep a `Tally` flushed
+//!   per level, and a simulation tallies every packet event in plain
+//!   integers and publishes once per driving call through
+//!   [`Registry::absorb`] (or hands the tally over whole as a
+//!   [`MetricsSnapshot`], which is how campaign runs record).
 //! * [`MetricsSnapshot`] — a frozen registry with a pinned, versioned JSON
 //!   schema ([`SCHEMA_VERSION`]) and a human summary table. What
 //!   `--metrics-out` writes and the CI bench-smoke guard reads.

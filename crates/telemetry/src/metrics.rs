@@ -152,6 +152,27 @@ impl Histogram {
     }
 }
 
+/// The handle named `name` in `map`, created by `make` on first use. The
+/// name is copied only when it is inserted.
+fn entry<'m, V>(map: &'m mut BTreeMap<String, V>, name: &str, make: impl FnOnce() -> V) -> &'m V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), make());
+    }
+    &map[name]
+}
+
+fn new_counter() -> Counter {
+    Counter(Arc::new(AtomicU64::new(0)))
+}
+
+fn new_gauge() -> Gauge {
+    Gauge(Arc::new(GaugeCell::default()))
+}
+
+fn new_histogram() -> Histogram {
+    Histogram(Arc::new(HistogramCell::default()))
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, Counter>,
@@ -180,31 +201,19 @@ impl Registry {
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
         let mut inner = self.inner.lock().expect("registry poisoned");
-        inner
-            .counters
-            .entry(name.to_string())
-            .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
-            .clone()
+        entry(&mut inner.counters, name, new_counter).clone()
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut inner = self.inner.lock().expect("registry poisoned");
-        inner
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Gauge(Arc::new(GaugeCell::default())))
-            .clone()
+        entry(&mut inner.gauges, name, new_gauge).clone()
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut inner = self.inner.lock().expect("registry poisoned");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram(Arc::new(HistogramCell::default())))
-            .clone()
+        entry(&mut inner.histograms, name, new_histogram).clone()
     }
 
     /// Sets the derived value named `name` (rates, ratios — quantities
@@ -212,6 +221,46 @@ impl Registry {
     pub fn set_value(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock().expect("registry poisoned");
         inner.values.insert(name.to_string(), value);
+    }
+
+    /// Folds a batch of metrics recorded elsewhere into the registry under
+    /// one lock acquisition — how a single-threaded recorder that tallies
+    /// plain integers publishes them:
+    ///
+    /// - counters add;
+    /// - a gauge's high-water mark advances to the snapshot's, then its
+    ///   value is set to the snapshot's (as [`Gauge::set`] would have
+    ///   left it);
+    /// - histograms add `count`, `sum` and their buckets, and widen
+    ///   `min`/`max` (a histogram with no observations leaves both alone);
+    /// - derived values are set.
+    ///
+    /// Every name in `snapshot` is registered, zero-valued ones included.
+    pub fn absorb(&self, snapshot: &MetricsSnapshot) {
+        let mut inner = self.inner.lock().expect("registry poisoned");
+        for (name, &n) in &snapshot.counters {
+            entry(&mut inner.counters, name, new_counter).add(n);
+        }
+        for (name, g) in &snapshot.gauges {
+            let cell = &entry(&mut inner.gauges, name, new_gauge).0;
+            cell.high_water.fetch_max(g.high_water, Ordering::Relaxed);
+            cell.value.store(g.value, Ordering::Relaxed);
+        }
+        for (name, h) in &snapshot.histograms {
+            let cell = &*entry(&mut inner.histograms, name, new_histogram).0;
+            cell.count.fetch_add(h.count, Ordering::Relaxed);
+            cell.sum.fetch_add(h.sum, Ordering::Relaxed);
+            if h.count > 0 {
+                cell.min.fetch_min(h.min, Ordering::Relaxed);
+                cell.max.fetch_max(h.max, Ordering::Relaxed);
+            }
+            for &(le, n) in &h.buckets {
+                cell.buckets[bucket_of(le)].fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        for (name, &x) in &snapshot.values {
+            inner.values.insert(name.clone(), x);
+        }
     }
 
     /// A point-in-time snapshot of every metric.
@@ -292,6 +341,35 @@ mod tests {
         assert_eq!(hs.min, 0);
         assert_eq!(hs.max, 7);
         assert_eq!(hs.buckets, vec![(0, 1), (1, 1), (3, 2), (7, 1)]);
+    }
+
+    #[test]
+    fn absorbing_snapshots_matches_recording_them() {
+        let recorded = Registry::new();
+        recorded.counter("x").add(3);
+        let g = recorded.gauge("g");
+        g.set(9);
+        g.set(4);
+        for v in [0, 5] {
+            recorded.histogram("h").record(v);
+        }
+        let published = Registry::new();
+        published.absorb(&recorded.snapshot());
+        assert_eq!(published.snapshot(), recorded.snapshot());
+
+        // A second batch: counters and histograms add, the gauge keeps its
+        // high water and takes the batch's value, an empty histogram
+        // registers without disturbing min/max.
+        let batch = Registry::new();
+        for reg in [&recorded, &batch] {
+            reg.counter("x").add(2);
+            reg.gauge("g").set(1);
+            reg.histogram("h").record(70);
+            reg.histogram("empty");
+        }
+        published.absorb(&batch.snapshot());
+        assert_eq!(published.snapshot(), recorded.snapshot());
+        assert_eq!(published.gauge("g").high_water(), 9);
     }
 
     #[test]

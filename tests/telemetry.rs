@@ -6,11 +6,12 @@
 use nonfifo::adversary::{ExploreConfig, Explorer, VisitedSpec};
 use nonfifo::channel::{
     AdversarialChannel, BoundedReorderChannel, ChannelIntrospect, ChaosChannel, CorruptingChannel,
-    Discipline, FaultObserver, FaultPlan, FifoChannel, LossyFifoChannel, ProbabilisticChannel,
+    CorruptionSeverity, Discipline, FaultObserver, FaultPlan, FifoChannel, LossyFifoChannel,
+    ProbabilisticChannel, ScramblePlan,
 };
-use nonfifo::core::{SimConfig, Simulation};
+use nonfifo::core::{SimConfig, SimError, Simulation};
 use nonfifo::ioa::{Dir, Header, Packet};
-use nonfifo::protocols::{AlternatingBit, SequenceNumber};
+use nonfifo::protocols::{AlternatingBit, SequenceNumber, StabilizingDl};
 use nonfifo::telemetry::{
     GaugeSnapshot, HistogramSnapshot, Json, MetricsSnapshot, Registry, TraceSink, SCHEMA_VERSION,
 };
@@ -375,4 +376,66 @@ fn in_place_merge_agrees_with_the_btreemap_reference() {
             }
         }
     }
+}
+
+/// The publish path: a simulation with a registry attached folds its tally
+/// into the registry at the end of every driving call, so after any mix of
+/// `settle` and `deliver` calls — including a stalled and a violating
+/// return — the registry holds exactly what `take_metrics` returns, and
+/// the forward-send counter the campaign runner reads off early returns
+/// counts every forward send of the run.
+#[test]
+fn attached_registry_equals_the_taken_tally_across_early_returns() {
+    let mut sim = Simulation::builder(AlternatingBit::new())
+        .channel(Discipline::BoundedReorder { bound: 4 })
+        .fault_plan(FaultPlan::parse("dup 0.1\ncorrupt 0.05").expect("plan"))
+        .seed(0)
+        .build();
+    sim.retain_execution();
+    let registry = Arc::new(Registry::new());
+    sim.attach_telemetry(Arc::clone(&registry), Some(Arc::new(TraceSink::new())));
+    let sends_published = |sim: &Simulation, registry: &Registry| {
+        let snap = registry.snapshot();
+        let exec = sim.execution().expect("retained").counts();
+        assert_eq!(snap.counters["chan.fwd.sends"], exec.sp_fwd);
+        assert_eq!(snap.counters["sim.messages.received"], exec.rm);
+    };
+
+    sim.settle(3);
+    sends_published(&sim, &registry);
+    let stalled = SimConfig {
+        max_steps_per_message: 2,
+        ..SimConfig::default()
+    };
+    let mut outcomes = Vec::new();
+    for (n, cfg) in [
+        (2, SimConfig::default()),
+        (4, stalled),
+        (40, SimConfig::default()),
+    ] {
+        outcomes.push(match sim.deliver(n, &cfg) {
+            Ok(_) => "ok",
+            Err(SimError::Stalled { .. }) => "stalled",
+            Err(SimError::Violation(_)) => "violation",
+        });
+        sends_published(&sim, &registry);
+        sim.settle(2);
+    }
+    assert_eq!(outcomes, ["ok", "stalled", "violation"]);
+    assert_eq!(registry.snapshot(), sim.take_metrics());
+
+    // A scramble injected after attaching publishes its preloads too.
+    let mut sim = Simulation::builder(StabilizingDl::new())
+        .channel(Discipline::Probabilistic { q: 0.2 })
+        .seed(3)
+        .build();
+    sim.retain_execution();
+    let registry = Arc::new(Registry::new());
+    sim.attach_telemetry(Arc::clone(&registry), None);
+    sim.corrupt_initial_state(&ScramblePlan::generate(CorruptionSeverity::Heavy, 3));
+    sends_published(&sim, &registry);
+    assert!(registry.snapshot().counters["chan.fwd.sends"] > 0);
+    sim.settle(50);
+    sends_published(&sim, &registry);
+    assert_eq!(registry.snapshot(), sim.take_metrics());
 }
